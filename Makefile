@@ -20,10 +20,12 @@ vet:
 # form (BENCH_softmine.txt — feed two of these to `benchstat old new`)
 # and mirrors the raw go-test output as JSON events in
 # BENCH_softmine.json for machine consumption. It then benchmarks the
-# simulator itself — serial event loop vs the bounded-lag parallel
-# engine on the quick grid — into BENCH_sim.json (wall time, simulated
-# cycles/sec, speedup, makespan divergence; wall-clock speedup needs a
-# multi-core host, determinism holds anywhere).
+# simulator itself — the serial event loop on the quick grid, plus the
+# 4-shard mode — into BENCH_sim.json (wall time, simulated cycles/sec,
+# allocations, sharded speedup; the sharded speedup needs a multi-core
+# host, cycles and counts are deterministic anywhere). BENCH_softmine.txt
+# and BENCH_sim.json are the committed baselines the gates read: rerun
+# this target only to rebaseline on purpose.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSoftMine -benchmem -count 5 \
 		./internal/mine/ | tee BENCH_softmine.txt
@@ -61,6 +63,7 @@ bench-gate:
 trend:
 	$(GO) run ./cmd/fingerstat -dir . -html TREND.html -json TREND.json
 
+# clean removes generated files only; the committed baselines
+# BENCH_softmine.txt and BENCH_sim.json stay.
 clean:
-	rm -f BENCH_softmine.txt BENCH_softmine.json BENCH_softmine_new.txt \
-		BENCH_sim.json TREND.html TREND.json
+	rm -f *_new.* BENCH_softmine.json TREND.* cpu.prof mem.prof

@@ -83,16 +83,6 @@ func (r *RootScheduler) Remaining() int {
 	return r.n - r.next
 }
 
-// MemPort is a PE's view of the shared memory system: the shared cache,
-// reached through the NoC. *mem.Cache satisfies it directly (zero NoC
-// latency); noc.Port adds the mesh round trip.
-type MemPort interface {
-	// Access reads [addr, addr+bytes) at time now, returning completion.
-	Access(now mem.Cycles, addr, bytes int64) mem.Cycles
-	// Probe reports whether the range is resident, without side effects.
-	Probe(addr, bytes int64) bool
-}
-
 // PE is one processing element driven by the chip's event loop. Step
 // executes the PE's next unit of work (a task, or a task group) beginning
 // at its local time, advancing it; it returns false once the PE is
@@ -114,10 +104,8 @@ type peEntry struct {
 }
 
 // peHeap orders PEs by local time so shared-resource accesses interleave
-// in approximately global time order. Ties break by PE index, making the
-// serial schedule the exact (cycle, PE-id) order the parallel epoch
-// engine commits in — the property the Window=1 equivalence oracle
-// depends on.
+// in approximately global time order. Ties break by PE index, so the
+// schedule is a deterministic (cycle, PE-id) order.
 type peHeap []peEntry
 
 func (h peHeap) Len() int { return len(h) }
@@ -190,7 +178,7 @@ const CancelCheckQuantum = 64
 // RootHolder is an optional PE capability: a PE that can report the root
 // vertex of the search tree it is currently mining, for failure
 // attribution and partial-progress reporting. Both accelerator PE models
-// implement it; the engines fall back to simerr.NoRoot when absent.
+// implement it; the event loop falls back to simerr.NoRoot when absent.
 type RootHolder interface {
 	CurrentRoot() (root uint32, ok bool)
 }

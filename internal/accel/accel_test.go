@@ -177,3 +177,20 @@ func TestRunWithProgressDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestRunWithProgressNowNeverRegresses: Progress.Now is the simulation
+// frontier; successive snapshots must be monotonically non-decreasing.
+func TestRunWithProgressNowNeverRegresses(t *testing.T) {
+	pes := []PE{
+		&fakePE{step: 13, left: 40},
+		&fakePE{step: 7, left: 80},
+		&fakePE{step: 29, left: 11},
+	}
+	var prev mem.Cycles
+	RunWithProgress(pes, 3, func(p Progress) {
+		if p.Now < prev {
+			t.Fatalf("Now regressed: %d after %d (steps=%d)", p.Now, prev, p.Steps)
+		}
+		prev = p.Now
+	})
+}

@@ -48,15 +48,10 @@ type Options struct {
 	Log *telemetry.RunLog
 	// Workers bounds the worker pool the experiments fan their
 	// independent (dataset, pattern, arch) cells across; zero or negative
-	// uses GOMAXPROCS. Unless SimParallel is also set, the simulated
-	// chips themselves stay single-threaded — parallelism is across
-	// cells only, so cycle results are identical to a serial run.
+	// uses GOMAXPROCS. The simulated chips themselves stay
+	// single-threaded — parallelism is across cells only, so cycle
+	// results are identical to a serial run.
 	Workers int
-	// SimParallel, when non-nil, runs every simulated chip on the
-	// bounded-lag parallel engine with this configuration. Results are
-	// deterministic in the window (never the worker count); Window=1
-	// reproduces the serial engine exactly.
-	SimParallel *accel.ParallelConfig
 	// Ctx, when non-nil, cancels a sweep early: in-flight cells finish,
 	// remaining cells are skipped and left out of the result. Nil means
 	// run to completion.
@@ -205,22 +200,15 @@ func logWrite(log *telemetry.RunLog, rec telemetry.RunRecord) {
 	}
 }
 
-// runChip executes one chip run on the engine Options selects — the
-// serial event loop, or with SimParallel the bounded-lag parallel
-// engine — threading Options.Ctx through so a cancelled sweep stops the
-// in-flight chip within one cancellation quantum rather than letting it
-// run to completion. A cancelled run returns its partial result with
-// partial=true; any other simulation error (a recovered engine panic,
-// an invalid SimParallel configuration) panics, because it signals a
-// defect rather than a shutdown.
-func (o Options) runChip(serial func(context.Context) (accel.Result, error), parallel func(context.Context, accel.ParallelConfig) (accel.Result, error)) (res accel.Result, partial bool) {
+// runChip executes one chip run (run is the chip's RunCtx), threading
+// Options.Ctx through so a cancelled sweep stops the in-flight chip
+// within one cancellation quantum rather than letting it run to
+// completion. A cancelled run returns its partial result with
+// partial=true; any other simulation error (a recovered engine panic)
+// panics, because it signals a defect rather than a shutdown.
+func (o Options) runChip(run func(context.Context) (accel.Result, error)) (res accel.Result, partial bool) {
 	ctx := o.ctx()
-	var err error
-	if o.SimParallel == nil {
-		res, err = serial(ctx)
-	} else {
-		res, err = parallel(ctx, *o.SimParallel)
-	}
+	res, err := run(ctx)
 	if err != nil {
 		if ctx.Err() == nil {
 			panic(fmt.Sprintf("exp: simulation: %v", err))
@@ -235,7 +223,7 @@ func (o Options) runChip(serial func(context.Context) (accel.Result, error), par
 func (o Options) simFingers(experiment, graphName, patternName string, cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
 	chip := newFingersChip(cfg, pes, cacheBytes, g, plans)
 	start := time.Now()
-	res, partial := o.runChip(chip.RunCtx, chip.RunParallelCtx)
+	res, partial := o.runChip(chip.RunCtx)
 	wall := time.Since(start)
 	if o.Log != nil {
 		rec := NewRunRecord("fingers", experiment, graphName, patternName, pes, cfg.NumIUs, cacheBytes, g, res, chip.PERecords())
@@ -254,7 +242,7 @@ func (o Options) simFingers(experiment, graphName, patternName string, cfg finge
 func (o Options) simFlex(experiment, graphName, patternName string, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
 	chip := newFlexChip(pes, cacheBytes, g, plans)
 	start := time.Now()
-	res, partial := o.runChip(chip.RunCtx, chip.RunParallelCtx)
+	res, partial := o.runChip(chip.RunCtx)
 	wall := time.Since(start)
 	if o.Log != nil {
 		rec := NewRunRecord("flexminer", experiment, graphName, patternName, pes, 0, cacheBytes, g, res, chip.PERecords())

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"fingers/internal/accel"
+	"fingers/internal/flexminer"
+	"fingers/internal/graph"
 	"fingers/internal/graph/gen"
 	"fingers/internal/mem"
+	"fingers/internal/plan"
 	"fingers/internal/simerr"
 	"fingers/internal/telemetry"
 )
@@ -104,58 +107,6 @@ func TestChipRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestChipRunParallelCtxAlreadyCancelled(t *testing.T) {
-	g := gen.PowerLawCluster(200, 4, 0.5, 41)
-	pls := plansFor(t, "tc")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pcfg := accel.ParallelConfig{Window: 64, Workers: 2}
-	_, err := chip.RunParallelCtx(ctx, pcfg)
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	se, ok := simerr.As(err)
-	if !ok || se.Engine != "parallel" || !se.IsCancellation() {
-		t.Errorf("error %v is not a parallel-engine cancellation SimError", err)
-	}
-}
-
-// TestChipRunParallelCtxCancelMidEpoch cancels from the epoch-barrier
-// progress callback while worker goroutines are active; run under -race
-// this doubles as the engine-shutdown data-race check.
-func TestChipRunParallelCtxCancelMidEpoch(t *testing.T) {
-	g := gen.PowerLawCluster(400, 5, 0.6, 43)
-	pls := plansFor(t, "tt")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fired := false
-	res, err := chip.RunParallelCtxWithProgress(ctx, accel.ParallelConfig{Window: 64, Workers: 4}, 200,
-		func(p accel.Progress) {
-			if !fired && p.Steps >= 200 {
-				fired = true
-				cancel()
-			}
-		})
-	if !fired {
-		t.Skip("run completed before the cancellation point")
-	}
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	se, ok := simerr.As(err)
-	if !ok || se.Engine != "parallel" || !se.IsCancellation() {
-		t.Fatalf("error %v is not a parallel-engine cancellation SimError", err)
-	}
-	if res.Cycles == 0 {
-		t.Error("partial result is missing its committed horizon")
-	}
-}
-
 func TestChipPanicSurfacesAsSimErrorSerial(t *testing.T) {
 	g := gen.PowerLawCluster(200, 4, 0.5, 47)
 	pls := plansFor(t, "tc")
@@ -178,40 +129,39 @@ func TestChipPanicSurfacesAsSimErrorSerial(t *testing.T) {
 	}
 }
 
-func TestChipPanicSurfacesAsSimErrorParallel(t *testing.T) {
-	g := gen.PowerLawCluster(200, 4, 0.5, 53)
-	pls := plansFor(t, "tc")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	chip.SetTracer(&panicTracer{armed: true})
-	_, err := chip.RunParallelCtx(context.Background(), accel.ParallelConfig{Window: 64, Workers: 4})
-	if err == nil {
-		t.Fatal("expected the injected panic to surface as an error")
-	}
-	se, ok := simerr.As(err)
-	if !ok {
-		t.Fatalf("error %T is not a *simerr.SimError", err)
-	}
-	if se.Engine != "parallel" {
-		t.Errorf("Engine = %q, want parallel", se.Engine)
-	}
-	if se.IsCancellation() {
-		t.Error("a panic must not be classified as cancellation")
-	}
-}
-
+// TestNewChipErrValidation: both models' constructors reject degenerate
+// arguments with an error instead of building a chip that silently mines
+// nothing.
 func TestNewChipErrValidation(t *testing.T) {
 	g := gen.PowerLawCluster(50, 3, 0.5, 59)
 	pls := plansFor(t, "tc")
-	if _, err := NewChipErr(DefaultConfig(), 0, 0, g, pls); err == nil {
-		t.Error("0 PEs: expected an error")
+	models := []struct {
+		name string
+		mk   func(pes int, g *graph.Graph, pls []*plan.Plan) (bool, error)
+	}{
+		{"fingers", func(pes int, g *graph.Graph, pls []*plan.Plan) (bool, error) {
+			c, err := NewChipErr(DefaultConfig(), pes, 0, g, pls)
+			return c != nil, err
+		}},
+		{"flexminer", func(pes int, g *graph.Graph, pls []*plan.Plan) (bool, error) {
+			c, err := flexminer.NewChipErr(flexminer.DefaultConfig(), pes, 0, g, pls)
+			return c != nil, err
+		}},
 	}
-	if _, err := NewChipErr(DefaultConfig(), 2, 0, nil, pls); err == nil {
-		t.Error("nil graph: expected an error")
-	}
-	if _, err := NewChipErr(DefaultConfig(), 2, 0, g, nil); err == nil {
-		t.Error("no plans: expected an error")
-	}
-	if c, err := NewChipErr(DefaultConfig(), 2, 0, g, pls); err != nil || c == nil {
-		t.Errorf("valid args: err = %v", err)
+	for _, m := range models {
+		for _, pes := range []int{0, -3} {
+			if _, err := m.mk(pes, g, pls); err == nil {
+				t.Errorf("%s: %d PEs: expected an error", m.name, pes)
+			}
+		}
+		if _, err := m.mk(2, nil, pls); err == nil {
+			t.Errorf("%s: nil graph: expected an error", m.name)
+		}
+		if _, err := m.mk(2, g, nil); err == nil {
+			t.Errorf("%s: no plans: expected an error", m.name)
+		}
+		if ok, err := m.mk(2, g, pls); err != nil || !ok {
+			t.Errorf("%s: valid args: err = %v", m.name, err)
+		}
 	}
 }

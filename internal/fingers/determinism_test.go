@@ -3,6 +3,7 @@ package fingers
 import (
 	"testing"
 
+	"fingers/internal/accel"
 	"fingers/internal/flexminer"
 	"fingers/internal/graph/gen"
 )
@@ -26,6 +27,31 @@ func TestSimulationDeterministic(t *testing.T) {
 	}
 	if fm1 != fm2 {
 		t.Errorf("FlexMiner runs differ:\n%+v\n%+v", fm1, fm2)
+	}
+}
+
+// TestCustomRootOrder: a chip built with a permuted root order finds the
+// same embeddings (counts are order-independent), and the run under that
+// order is itself deterministic.
+func TestCustomRootOrder(t *testing.T) {
+	g := gen.PowerLawCluster(250, 4, 0.5, 41)
+	pls := plansFor(t, "tt")
+	base := mustChip(t, DefaultConfig(), 4, 0, g, pls).Run()
+
+	order := make([]uint32, g.NumVertices())
+	for i := range order {
+		order[i] = uint32(len(order) - 1 - i) // reverse-ID handout
+	}
+	mk := func() *Chip {
+		return NewChipWithScheduler(DefaultConfig(), 4, 0, g, pls,
+			accel.NewRootSchedulerWithOrder(order))
+	}
+	first := mk().Run()
+	if first.Count != base.Count {
+		t.Errorf("custom order changed the count: %d vs %d", first.Count, base.Count)
+	}
+	if again := mk().Run(); again != first {
+		t.Errorf("custom order runs differ:\n%+v\n%+v", first, again)
 	}
 }
 

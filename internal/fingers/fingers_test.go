@@ -25,8 +25,7 @@ func plansFor(t *testing.T, names ...string) []*plan.Plan {
 }
 
 // mustChip builds a chip through the validating constructor, failing the
-// test on error. Only the panic-contract tests still call the deprecated
-// NewChip directly.
+// test on error.
 func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
 	tb.Helper()
 	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
@@ -249,5 +248,27 @@ func TestEmptyGraphRuns(t *testing.T) {
 	res := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
 	if res.Count != 0 {
 		t.Errorf("count on edgeless graph = %d", res.Count)
+	}
+}
+
+// TestNewChipRejectsNonPositivePEs: a non-positive PE count is an error from
+// NewChipErr, and the scheduler-taking constructor, which trusts
+// pre-validated arguments, still fails fast with a panic rather than
+// building a chip that silently mines nothing.
+func TestNewChipRejectsNonPositivePEs(t *testing.T) {
+	g := gen.PowerLawCluster(50, 3, 0.4, 7)
+	pls := plansFor(t, "tc")
+	for _, n := range []int{0, -3} {
+		if c, err := NewChipErr(DefaultConfig(), n, 0, g, pls); err == nil || c != nil {
+			t.Errorf("NewChipErr with %d PEs: chip = %v, err = %v; want an error", n, c, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
+				}
+			}()
+			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
+		}()
 	}
 }

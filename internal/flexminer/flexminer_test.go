@@ -20,8 +20,7 @@ func compiled(t *testing.T, name string) []*plan.Plan {
 }
 
 // mustChip builds a chip through the validating constructor, failing the
-// test on error. Only the panic-contract test still calls the deprecated
-// NewChip directly.
+// test on error.
 func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
 	tb.Helper()
 	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
@@ -96,5 +95,27 @@ func TestSharedCacheStatsPopulated(t *testing.T) {
 	}
 	if res.DRAM.BytesMoved == 0 {
 		t.Error("no DRAM traffic recorded")
+	}
+}
+
+// TestFlexNewChipRejectsNonPositivePEs: a non-positive PE count is an error from
+// NewChipErr, and the scheduler-taking constructor, which trusts
+// pre-validated arguments, still fails fast with a panic rather than
+// building a chip that silently mines nothing.
+func TestFlexNewChipRejectsNonPositivePEs(t *testing.T) {
+	g := gen.PowerLawCluster(50, 3, 0.4, 7)
+	pls := compiled(t, "tc")
+	for _, n := range []int{0, -3} {
+		if c, err := NewChipErr(DefaultConfig(), n, 0, g, pls); err == nil || c != nil {
+			t.Errorf("NewChipErr with %d PEs: chip = %v, err = %v; want an error", n, c, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
+				}
+			}()
+			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
+		}()
 	}
 }

@@ -28,7 +28,7 @@ type FailureClass string
 
 const (
 	// ClassTransient failures may succeed on a retry: recovered panics
-	// from either engine, injected faults, marked-retryable errors.
+	// from the simulator, injected faults, marked-retryable errors.
 	ClassTransient FailureClass = "transient"
 	// ClassPermanent failures will fail identically on every attempt:
 	// malformed graphs, invalid plans, unknown datasets, spec errors.
@@ -90,13 +90,13 @@ func (f *Failure) Retryable(spec fingers.JobSpec) bool {
 // specific first:
 //
 //   - context cancellation → ClassCanceled; deadline → ClassDeadline
-//     (checked through simerr.SimError wrapping, since both engines
-//     wrap context errors)
+//     (checked through simerr.SimError wrapping, since the simulator
+//     wraps context errors)
 //   - anything marked with ErrRetryable → ClassTransient
 //   - malformed graph (graph.ErrMalformed), invalid plan
 //     (plan.ErrInvalid), unknown dataset (*datasets.NotFoundError) →
 //     ClassPermanent
-//   - a recovered panic from either engine (*simerr.SimError that is
+//   - a recovered panic from the simulator (*simerr.SimError that is
 //     not a cancellation) → ClassTransient: panics are load- and
 //     timing-dependent, and the chip state is rebuilt from scratch on
 //     every attempt

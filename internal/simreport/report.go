@@ -3,7 +3,8 @@
 // cmd/fingerstat, the CI regression gate). Keeping the types in one
 // place is what lets the trend viewer parse every vintage of committed
 // report: v1 (no geomeans), v2 (allocation profile + regression gate),
-// and the current header with provenance metadata.
+// v3/v4 (provenance header, sharded and representation-mix columns) and
+// the current serial-only v5.
 package simreport
 
 import (
@@ -21,11 +22,12 @@ import (
 // columns (shards, per-shard wall times, sharded speedup) and the
 // single-core warning annotation; v4 adds the representation-mix
 // columns (per-cell dense rows, bitmap rows, and hybrid storage bytes
-// of the graph's adaptive set-storage view). All v3/v4 fields are
-// omitempty, so a v4 report without them is byte-compatible with v2 and
-// older readers ignore the extras; readers accept any
-// "fingers/simbench/" prefix.
-const Schema = "fingers/simbench/v4"
+// of the graph's adaptive set-storage view); v5 drops the columns of
+// the retired host-parallel engine (parallel wall times, cycles and
+// allocations, speedup, workers=1 factor, divergence, and the
+// workers/window header). Older reports still decode: their extra
+// fields are ignored. Readers accept any "fingers/simbench/" prefix.
+const Schema = "fingers/simbench/v5"
 
 // SchemaPrefix matches every vintage of simbench report.
 const SchemaPrefix = "fingers/simbench/"
@@ -36,25 +38,14 @@ type Cell struct {
 	Pattern string `json:"pattern"`
 
 	SimCycles       mem.Cycles `json:"sim_cycles"`        // serial makespan
-	ParallelCycles  mem.Cycles `json:"parallel_cycles"`   // parallel makespan
-	DivergencePct   float64    `json:"divergence_pct"`    // |par-serial|/serial × 100
-	CountsIdentical bool       `json:"counts_identical"`  // embedding counts bit-identical
 	SerialWallNS    int64      `json:"serial_wall_ns"`    // serial engine wall time
-	ParallelWallNS  int64      `json:"parallel_wall_ns"`  // parallel engine wall time
-	Workers1WallNS  int64      `json:"workers1_wall_ns"`  // parallel engine, Workers=1
-	Speedup         float64    `json:"speedup"`           // serial wall / parallel wall
-	Workers1Factor  float64    `json:"workers1_factor"`   // serial wall / workers=1 wall
 	SerialCyclesSec float64    `json:"serial_cycles_sec"` // simulated cycles per wall second
-	ParCyclesSec    float64    `json:"parallel_cycles_sec"`
 
 	// Allocation profile of the best-time repetition (runtime.MemStats
 	// deltas around the run: mallocs, bytes, and stop-the-world pause).
 	SerialAllocs     uint64 `json:"serial_allocs"`
 	SerialAllocBytes uint64 `json:"serial_alloc_bytes"`
 	SerialGCPauseNS  uint64 `json:"serial_gc_pause_ns"`
-	ParAllocs        uint64 `json:"parallel_allocs"`
-	ParAllocBytes    uint64 `json:"parallel_alloc_bytes"`
-	ParGCPauseNS     uint64 `json:"parallel_gc_pause_ns"`
 
 	// Sharded-mode columns (v3), present only when the run was measured
 	// with -shards > 1. ShardWallsNS is each shard's own wall time in
@@ -82,9 +73,7 @@ type Cell struct {
 type Report struct {
 	Schema string `json:"schema"`
 	telemetry.Meta
-	PEs     int        `json:"pes"`
-	Workers int        `json:"workers"`
-	Window  mem.Cycles `json:"window"`
+	PEs int `json:"pes"`
 	// Runs is the number of measured repetitions each cell is the
 	// median of (1 = single-shot, the pre-header behaviour).
 	Runs int `json:"runs,omitempty"`
@@ -92,18 +81,14 @@ type Report struct {
 	// (v3); zero when the run was not sharded.
 	Shards        int     `json:"shards,omitempty"`
 	Cells         []Cell  `json:"cells"`
-	GeomeanSpeed  float64 `json:"geomean_speedup"`
-	GeomeanW1     float64 `json:"geomean_workers1_factor"`
 	GeomeanSerCPS float64 `json:"geomean_serial_cycles_sec"`
-	GeomeanDivPc  float64 `json:"geomean_divergence_pct"`
-	MaxDivPct     float64 `json:"max_divergence_pct"`
 	// GeomeanShardSpeed is the sharded/serial wall-clock speedup geomean
 	// (v3); zero when the run was not sharded.
 	GeomeanShardSpeed float64 `json:"geomean_shard_speedup,omitempty"`
 	Note              string  `json:"note"`
-	// Warning flags a measurement that cannot support an engine verdict
+	// Warning flags a measurement that cannot support a scaling verdict
 	// — today, a single-core host (host_cores or GOMAXPROCS of 1), where
-	// every wall-clock speedup is an artifact of time slicing.
+	// the sharded speedup is an artifact of time slicing.
 	Warning string `json:"warning,omitempty"`
 }
 

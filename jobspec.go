@@ -7,25 +7,23 @@ import (
 	"strings"
 	"time"
 
-	"fingers/internal/accel"
 	"fingers/internal/datasets"
 	fingerspe "fingers/internal/fingers"
 	"fingers/internal/graph"
-	"fingers/internal/mem"
 	"fingers/internal/plan"
 )
 
 // JobSpec is the JSON-serializable description of one simulation job:
 // which architecture to model, which graph and benchmark pattern to
-// mine, and how the chip and engine are shaped. It is the single wire
+// mine, and how the chip is shaped. It is the single wire
 // and flag format shared by the fingersd daemon (the POST /v1/jobs
 // body), cmd/fingersim, and cmd/experiments — flags and request bodies
 // populate a spec, and the spec produces the Simulate arguments — so
 // every entry point validates and decodes identically.
 //
 // Zero fields mean "the model's default": 1 PE, the paper's PE
-// configuration, the model's shared-cache capacity, the serial event
-// loop, and no deadline.
+// configuration, the model's shared-cache capacity, one unsharded chip,
+// and no deadline.
 type JobSpec struct {
 	// Arch selects the timing model: "fingers", "flexminer", or "sisa"
 	// (case-insensitive; the display names FINGERS/FlexMiner/SISA also
@@ -52,12 +50,16 @@ type JobSpec struct {
 	// CacheKB is the shared-cache capacity in kB; 0 keeps the model's
 	// default.
 	CacheKB int64 `json:"cache_kb,omitempty"`
-	// SimWorkers, when positive, runs the chip on the bounded-lag
-	// parallel engine with this many host threads.
+	// SimWorkers is accepted and ignored: it selected a host-parallel
+	// simulation engine that no longer exists, and stays decodable so
+	// stored specs (e.g. fingersd journals) still parse. Negative values
+	// are still rejected.
+	//
+	// Deprecated: use SimShards for multi-core runs.
 	SimWorkers int `json:"sim_workers,omitempty"`
-	// SimWindow is the parallel engine's epoch width Δ in simulated
-	// cycles; 0 means the tuned default. Results depend only on the
-	// window, never on SimWorkers.
+	// SimWindow is accepted and ignored, like SimWorkers.
+	//
+	// Deprecated: has no effect.
 	SimWindow int64 `json:"sim_window,omitempty"`
 	// SimShards, when > 1, partitions root vertices across this many
 	// independent engine instances run on separate OS threads and merged
@@ -131,27 +133,6 @@ func (s JobSpec) AcceleratorConfig() AcceleratorConfig {
 	return cfg
 }
 
-// ParallelSim materializes the parallel-engine configuration, or nil
-// when SimWorkers is 0 (the serial event loop). A degenerate window or
-// worker count is reported as an error.
-func (s JobSpec) ParallelSim() (*ParallelConfig, error) {
-	if s.SimWorkers == 0 && s.SimWindow == 0 {
-		return nil, nil
-	}
-	if s.SimWorkers == 0 {
-		return nil, fmt.Errorf("fingers: JobSpec: sim_window set without sim_workers")
-	}
-	window := mem.Cycles(s.SimWindow)
-	if window == 0 {
-		window = accel.DefaultWindow
-	}
-	cfg := ParallelConfig{Window: window, Workers: s.SimWorkers}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("fingers: JobSpec: %w", err)
-	}
-	return &cfg, nil
-}
-
 // Validate checks every field of the spec without touching the graph:
 // the architecture parses, graph and pattern are named, the pattern
 // compiles, and the numeric knobs are in range. ResolveGraph reports
@@ -187,9 +168,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.SimShards < 0 {
 		return fmt.Errorf("fingers: JobSpec: sim_shards must be >= 0, got %d", s.SimShards)
-	}
-	if _, err := s.ParallelSim(); err != nil {
-		return err
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("fingers: JobSpec: timeout_ms must be >= 0, got %d", s.TimeoutMS)
@@ -238,7 +216,7 @@ func (s JobSpec) ResolveGraph() (*Graph, error) {
 }
 
 // ToOptions bridges the spec to the Simulate option list: PEs, shared
-// cache, PE configuration, parallel engine, deadline, and stats. The
+// cache, PE configuration, shards, deadline, and stats. The
 // caller composes extras (WithContext, WithTracer, WithProgress) on
 // top. The spec is validated first, so an invalid spec never produces
 // a half-applied option set.
@@ -252,11 +230,6 @@ func (s JobSpec) ToOptions() ([]SimOption, error) {
 	}
 	if s.CacheKB > 0 {
 		opts = append(opts, WithSharedCache(s.CacheBytes()))
-	}
-	if pcfg, err := s.ParallelSim(); err != nil {
-		return nil, err
-	} else if pcfg != nil {
-		opts = append(opts, WithParallelSim(*pcfg))
 	}
 	if s.SimShards > 1 {
 		opts = append(opts, WithShards(s.SimShards))

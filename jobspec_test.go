@@ -42,19 +42,18 @@ func TestJobSpecValidate(t *testing.T) {
 		t.Fatalf("minimal valid spec rejected: %v", err)
 	}
 	for name, bad := range map[string]JobSpec{
-		"empty arch":             {Graph: "Mi", Pattern: "tc"},
-		"bad arch":               {Arch: "gpu", Graph: "Mi", Pattern: "tc"},
-		"empty graph":            {Arch: "fingers", Pattern: "tc"},
-		"empty pattern":          {Arch: "fingers", Graph: "Mi"},
-		"bad pattern":            {Arch: "fingers", Graph: "Mi", Pattern: "zzz"},
-		"negative pes":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", PEs: -1},
-		"negative ius":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", IUs: -2},
-		"negative cache":         {Arch: "fingers", Graph: "Mi", Pattern: "tc", CacheKB: -1},
-		"negative workers":       {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWorkers: -1},
-		"negative window":        {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: -5},
-		"window without workers": {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: 64},
-		"negative timeout":       {Arch: "fingers", Graph: "Mi", Pattern: "tc", TimeoutMS: -1},
-		"negative shards":        {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimShards: -1},
+		"empty arch":       {Graph: "Mi", Pattern: "tc"},
+		"bad arch":         {Arch: "gpu", Graph: "Mi", Pattern: "tc"},
+		"empty graph":      {Arch: "fingers", Pattern: "tc"},
+		"empty pattern":    {Arch: "fingers", Graph: "Mi"},
+		"bad pattern":      {Arch: "fingers", Graph: "Mi", Pattern: "zzz"},
+		"negative pes":     {Arch: "fingers", Graph: "Mi", Pattern: "tc", PEs: -1},
+		"negative ius":     {Arch: "fingers", Graph: "Mi", Pattern: "tc", IUs: -2},
+		"negative cache":   {Arch: "fingers", Graph: "Mi", Pattern: "tc", CacheKB: -1},
+		"negative workers": {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWorkers: -1},
+		"negative window":  {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: -5},
+		"negative timeout": {Arch: "fingers", Graph: "Mi", Pattern: "tc", TimeoutMS: -1},
+		"negative shards":  {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimShards: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, bad)
@@ -90,18 +89,43 @@ func TestJobSpecDerivedValues(t *testing.T) {
 	}
 }
 
+// TestJobSpecParallelSim: the deprecated parallel-sim fields still
+// decode and validate (a window without workers included), and change
+// nothing about the run the spec describes.
 func TestJobSpecParallelSim(t *testing.T) {
-	none := JobSpec{Arch: "fingers", Graph: "Mi", Pattern: "tc"}
-	if cfg, err := none.ParallelSim(); err != nil || cfg != nil {
-		t.Errorf("serial spec: cfg=%v err=%v", cfg, err)
+	spec, err := DecodeJobSpec([]byte(`{"arch":"fingers","graph":"As","pattern":"tc","pes":2,"sim_workers":4,"sim_window":64}`))
+	if err != nil {
+		t.Fatalf("deprecated fields rejected: %v", err)
 	}
-	par := JobSpec{Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWorkers: 4}
-	cfg, err := par.ParallelSim()
-	if err != nil || cfg == nil {
-		t.Fatalf("parallel spec: %v", err)
+	if spec.SimWorkers != 4 || spec.SimWindow != 64 {
+		t.Errorf("decoded %+v, want sim_workers=4 sim_window=64", spec)
 	}
-	if cfg.Workers != 4 || cfg.Window <= 0 {
-		t.Errorf("parallel config %+v, want 4 workers and the default window", cfg)
+	windowOnly := JobSpec{Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: 64}
+	if err := windowOnly.Validate(); err != nil {
+		t.Errorf("window without workers rejected: %v", err)
+	}
+	opts, err := spec.ToOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.ResolveGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := spec.Plans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(ArchFingers, g, plans, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulate(ArchFingers, g, plans, WithPEs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Result != want.Result {
+		t.Errorf("deprecated fields changed the run:\n%+v\n%+v", got.Result, want.Result)
 	}
 }
 
