@@ -92,14 +92,17 @@ type PE struct {
 	iuWl   []int
 	// iuKeys is a binary min-heap of packed (busy<<16 | IU index) keys:
 	// plain int64 order is exactly the (busy, index) lexicographic order
-	// the list scheduler's first-minimum scan resolves ties by. Only the
-	// root's key ever grows, so one sift-down per workload maintains it.
+	// the list scheduler's first-minimum scan resolves ties by. It is
+	// built only once every IU has been touched in the current task;
+	// until then an untouched IU (busy 0) beats every touched one
+	// (busy ≥ 1), lowest index first, so the touched IUs are always the
+	// prefix 0..iuUsed-1 and need no heap.
 	iuKeys []int64
+	iuUsed int
 	opWl   int
-	// tkTouched/opTouched list the IUs assigned work this task / this op,
-	// so the post-op and post-task scans and resets touch only those
-	// instead of sweeping all NumIUs entries per (often tiny) op.
-	tkTouched []int
+	// opTouched lists the IUs assigned work this op, so the post-op scan
+	// and reset touch only those instead of sweeping all NumIUs entries
+	// per (often tiny) op; the post-task scan covers the iuUsed prefix.
 	opTouched []int
 	// members/sorted are the task-group scratch: per-candidate fetch
 	// geometry probed once, then partitioned cache-hits-first.
@@ -130,7 +133,6 @@ func NewPE(cfg Config, g *graph.Graph, plans []*plan.Plan, roots *accel.RootSche
 		opBusy:        make([]mem.Cycles, cfg.NumIUs),
 		iuWl:          make([]int, cfg.NumIUs),
 		iuKeys:        make([]int64, cfg.NumIUs),
-		tkTouched:     make([]int, 0, cfg.NumIUs),
 		opTouched:     make([]int, 0, cfg.NumIUs),
 	}
 	pe.stats.NumIUs = cfg.NumIUs
@@ -291,6 +293,9 @@ func (pe *PE) runGroup(engineIdx int, parent *mine.Node, cands []uint32) {
 	for i := range members {
 		members[i].ready = pe.shared.Access(start, members[i].addr, members[i].bytes)
 	}
+	// Tasks at the last extending level count their embeddings instead
+	// of building leaf nodes; their set operations cost the same.
+	leaf := parent.Level+1 == e.Plan.K()-2
 	t := start
 	for i := range members {
 		m := &members[i]
@@ -301,6 +306,12 @@ func (pe *PE) runGroup(engineIdx int, parent *mine.Node, cands []uint32) {
 			// The fetch outlived all overlapped computation: the rest is
 			// exposed memory latency.
 			pe.bd.MemStall += ready - t
+		}
+		if leaf {
+			cnt, info := e.ExtendLeaf(parent, m.v)
+			t = pe.computeTask(ready, info)
+			pe.count += cnt
+			continue
 		}
 		node, info := e.Extend(parent, m.v)
 		t = pe.computeTask(ready, info)
@@ -342,13 +353,6 @@ func (pe *PE) finishTask(engineIdx int, e *mine.Engine, node *mine.Node) {
 // by the sum of all stage latencies.
 func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	pe.tasks++
-	// iuBusy/iuWl are all-zero here (the previous task reset exactly the
-	// entries it touched); zero-busy keys make the identity permutation a
-	// valid min-heap.
-	for i := range pe.iuKeys {
-		pe.iuKeys[i] = int64(i)
-	}
-	pe.tkTouched = pe.tkTouched[:0]
 	fetchStart := ready
 	// Extra fetches beyond the new vertex's list (postponed ancestors).
 	for _, v := range info.FetchVertices[1:] {
@@ -356,7 +360,8 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	}
 	searchSteps := 0
 	totalWorkloads := 0
-	for _, op := range info.Ops {
+	for oi := range info.Ops {
+		op := &info.Ops[oi]
 		// Candidate sets beyond the private cache spill via shared cache.
 		if int64(len(op.Short))*4 > pe.cfg.PrivateCacheBytes {
 			ready = pe.shared.Access(ready, pe.g.TotalAdjacencyBytes()+(1<<20), int64(len(op.Short))*4)
@@ -369,38 +374,13 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	}
 	// Serialized ancestor fetches and spill traffic are exposed latency.
 	pe.bd.MemStall += ready - fetchStart
-	usedIUs := len(pe.tkTouched)
-	var busySum mem.Cycles
-	for _, i := range pe.tkTouched {
-		busySum += pe.iuBusy[i]
-	}
-	// Each IU receives inputs and surrenders results through the serial
-	// round-robin sweeps (§4.3), whose period is proportional to the
-	// number of IUs in flight: an IU's next workload arrives one sweep
-	// after its previous one, so its effective occupancy is at least its
-	// workload count times the sweep period. This is hidden while
-	// workloads run longer than the sweep — the paper's condition
-	// s_l + 3·s_s > #IUs — and becomes the bottleneck when iso-area
-	// scaling shrinks segments (the Figure 12 drop at 48 IUs).
-	rrPeriod := mem.Cycles(usedIUs)
-	var maxBusy mem.Cycles
-	for _, i := range pe.tkTouched {
-		eff := pe.iuBusy[i]
-		if rr := mem.Cycles(pe.iuWl[i]) * rrPeriod; rr > eff {
-			eff = rr
-		}
-		if eff > maxBusy {
-			maxBusy = eff
-		}
-		pe.iuBusy[i] = 0
-		pe.iuWl[i] = 0
-	}
+	usedIUs, busySum, maxBusy := pe.drainIUs()
 	pe.stats.BusyIUCycles += busySum
 	// Divider stage: short heads stream through the long-head tree,
 	// spread over the parallel task dividers.
 	divider := mem.Cycles((searchSteps + pe.cfg.NumDividers - 1) / pe.cfg.NumDividers)
 	// Result-collection tail: the final sweep drains in-flight workloads.
-	drain := rrPeriod
+	drain := mem.Cycles(usedIUs)
 	// Update the adaptive group-size estimate.
 	iusThisTask := float64(totalWorkloads)
 	if iusThisTask > float64(pe.cfg.NumIUs) {
@@ -429,11 +409,43 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	return ready + step
 }
 
+// drainIUs closes the current task's IU schedule. It returns how many
+// IUs the task used, their summed busy cycles, and the largest effective
+// occupancy, then resets exactly those IUs so the next task starts with
+// every IU untouched.
+//
+// Each IU receives inputs and surrenders results through the serial
+// round-robin sweeps (§4.3), whose period is proportional to the number
+// of IUs in flight: an IU's next workload arrives one sweep after its
+// previous one, so its effective occupancy is at least its workload count
+// times the sweep period. This is hidden while workloads run longer than
+// the sweep — the paper's condition s_l + 3·s_s > #IUs — and becomes the
+// bottleneck when iso-area scaling shrinks segments (the Figure 12 drop
+// at 48 IUs).
+func (pe *PE) drainIUs() (used int, busySum, maxBusy mem.Cycles) {
+	used = pe.iuUsed
+	rrPeriod := mem.Cycles(used)
+	for i := 0; i < used; i++ {
+		busySum += pe.iuBusy[i]
+		eff := pe.iuBusy[i]
+		if rr := mem.Cycles(pe.iuWl[i]) * rrPeriod; rr > eff {
+			eff = rr
+		}
+		if eff > maxBusy {
+			maxBusy = eff
+		}
+		pe.iuBusy[i] = 0
+		pe.iuWl[i] = 0
+	}
+	pe.iuUsed = 0
+	return used, busySum, maxBusy
+}
+
 // chargeOp segments one set operation, derives its balanced workloads
 // (the same geometry Balance produces, without materializing them), and
 // list-schedules each onto the earliest-available IU. It returns the
 // accumulated divider search steps and workload count.
-func (pe *PE) chargeOp(op mine.SetOpExec, searchSteps, totalWorkloads int) (int, int) {
+func (pe *PE) chargeOp(op *mine.SetOpExec, searchSteps, totalWorkloads int) (int, int) {
 	long := setops.Segment(op.Long, pe.cfg.LongSegLen)
 	short := setops.Segment(op.Short, pe.cfg.ShortSegLen)
 	setops.PairInto(&pe.pairing, long, short)
@@ -508,29 +520,53 @@ func (pe *PE) chargeOp(op mine.SetOpExec, searchSteps, totalWorkloads int) (int,
 
 // schedule assigns one workload to the earliest-available IU: the
 // lexicographic (busy, index) minimum, which is exactly the first index a
-// linear scan for the least-busy IU would report. Only the chosen IU's
-// key grows, so the heap root is the only entry that can violate heap
-// order afterwards; the root's new key is sifted down hole-style with
-// primitive int64 comparisons.
+// linear scan for the least-busy IU would report. While some IU is still
+// untouched this task, that is the lowest untouched one; the heap is
+// built when the last IU joins. From then on only the chosen root's key
+// grows, so the root is the only entry that can violate heap order; its
+// new key is sifted down hole-style with primitive int64 comparisons.
 func (pe *PE) schedule(cycles mem.Cycles) {
 	if cycles < 1 {
 		cycles = 1
 	}
+	pe.opWl++
+	if best := pe.iuUsed; best < len(pe.iuKeys) {
+		pe.iuUsed++
+		pe.opTouched = append(pe.opTouched, best)
+		pe.iuBusy[best] = cycles
+		pe.opBusy[best] = cycles
+		pe.iuWl[best] = 1
+		if pe.iuUsed == len(pe.iuKeys) {
+			pe.buildHeap()
+		}
+		return
+	}
 	h := pe.iuKeys
 	best := int(h[0] & 0xffff)
-	if pe.iuBusy[best] == 0 {
-		pe.tkTouched = append(pe.tkTouched, best)
-	}
 	if pe.opBusy[best] == 0 {
 		pe.opTouched = append(pe.opTouched, best)
 	}
 	pe.iuBusy[best] += cycles
 	pe.opBusy[best] += cycles
 	pe.iuWl[best]++
-	pe.opWl++
-	key := h[0] + int64(cycles)<<16
+	siftDown(h, 0, h[0]+int64(cycles)<<16)
+}
+
+// buildHeap packs every IU's busy time into iuKeys and heapifies it.
+func (pe *PE) buildHeap() {
+	h := pe.iuKeys
+	for i := range h {
+		h[i] = int64(pe.iuBusy[i])<<16 | int64(i)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
+}
+
+// siftDown stores key at index i of the min-heap h, moving it down past
+// smaller children.
+func siftDown(h []int64, i int, key int64) {
 	n := len(h)
-	i := 0
 	for {
 		l := 2*i + 1
 		if l >= n {

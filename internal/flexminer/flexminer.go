@@ -151,9 +151,17 @@ func (pe *PE) Step() bool {
 
 	var node *mine.Node
 	var info mine.TaskInfo
-	if item.start {
+	switch {
+	case item.start:
 		node, info = e.Start(item.root)
-	} else {
+	case item.node.Level+1 == e.Plan.K()-2:
+		// Last extending level: count the embeddings, build no leaf node.
+		var cnt uint64
+		cnt, info = e.ExtendLeaf(item.node, item.cand)
+		pe.charge(info)
+		pe.count += cnt
+		return true
+	default:
 		node, info = e.Extend(item.node, item.cand)
 	}
 	pe.charge(info)

@@ -146,14 +146,6 @@ func (h *HybridAdj) Policy() StoragePolicy {
 	return h.policy
 }
 
-// Hub returns the dense tier's index (nil under forced policies).
-func (h *HybridAdj) Hub() *HubIndex {
-	if h == nil {
-		return nil
-	}
-	return h.hub
-}
-
 // DenseRow returns v's full-universe bitset when v is in the dense
 // tier, nil otherwise.
 func (h *HybridAdj) DenseRow(v uint32) []uint64 {

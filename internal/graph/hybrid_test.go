@@ -106,7 +106,7 @@ func TestHybridFootprintExact(t *testing.T) {
 		t.Fatalf("summed row bytes %d (%d rows) != footprint %d (%d rows)",
 			sum, rows, after.BitmapBytes, after.BitmapRows)
 	}
-	if after.DenseRows != h.Hub().NumHubs() || after.DenseBytes != h.Hub().MemoryBytes() {
+	if after.DenseRows != h.hub.NumHubs() || after.DenseBytes != h.hub.MemoryBytes() {
 		t.Fatalf("dense tier accounting mismatch: %+v", after)
 	}
 	if after.HybridBytes() != after.DenseBytes+after.BitmapBytes {

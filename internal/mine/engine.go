@@ -5,7 +5,9 @@
 // each Extend call is exactly one "task" in the paper's sense (§4, "the
 // work to extend a new vertex to the current partial embedding"),
 // reporting the distinct set operations and neighbor-list fetches the
-// hardware would perform.
+// hardware would perform. ExtendLeaf is the same task at the last
+// extending level, counting the final candidate set instead of building
+// it.
 package mine
 
 import (
@@ -32,7 +34,8 @@ type SetOpExec struct {
 	// Targets lists the plan levels whose candidate sets this operation
 	// materializes (several when updates are shared).
 	Targets []int
-	// Result is the operation's output.
+	// Result is the operation's output; nil for the counted final
+	// operation of an ExtendLeaf task.
 	Result []uint32
 }
 
@@ -102,18 +105,19 @@ type opGroup struct {
 // Engine walks one plan's search tree on one graph. An Engine is not safe
 // for concurrent use; create one per worker goroutine.
 //
-// The engine dispatches each set operation adaptively (merge, galloping,
-// or dense-bitvector kernels, as the software miner does) — the kernels
-// differ per call but the set algebra does not, so results, TaskInfo
-// geometry, and therefore modeled timing are bit-identical to the plain
-// merge walk.
+// The engine dispatches each set operation adaptively through the
+// graph's hybrid storage view (dense-row, compressed-bitmap, galloping or
+// merge kernels, as the software miner does) — the kernels differ per
+// call but the set algebra does not, so results, TaskInfo geometry, and
+// therefore modeled timing are bit-identical to the plain merge walk.
 type Engine struct {
 	G      *graph.Graph
 	Plan   *plan.Plan
 	nextID int32
 
-	hub  *graph.HubIndex
+	adj  *graph.HybridAdj
 	root *Node // persistent level -1 parent for Start
+	leaf *Node // ExtendLeaf's scratch child; never pooled or returned
 
 	// Node pool.
 	free []*Node
@@ -127,14 +131,10 @@ type Engine struct {
 
 // NewEngine returns an engine for the plan on g.
 func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
-	e := &Engine{G: g, Plan: pl, hub: g.Hubs()}
-	k := pl.K()
-	e.root = &Node{
-		Level: -1,
-		Verts: make([]uint32, 0, k),
-		sets:  make([][]uint32, k),
-		setID: make([]int32, k),
-	}
+	e := &Engine{G: g, Plan: pl, adj: g.Hybrid()}
+	e.root = e.newNode()
+	e.root.Level = -1
+	e.leaf = e.newNode()
 	return e
 }
 
@@ -171,7 +171,9 @@ func (e *Engine) Release(n *Node) {
 
 // Start creates the root node for u_0 = v0 and performs the level-0 task.
 func (e *Engine) Start(v0 uint32) (*Node, TaskInfo) {
-	return e.extend(e.root, v0)
+	child := e.newNode()
+	_, info := e.extend(e.root, v0, child, false)
+	return child, info
 }
 
 // Extend performs the task of adding v at level n.Level+1: it applies that
@@ -181,7 +183,24 @@ func (e *Engine) Extend(n *Node, v uint32) (*Node, TaskInfo) {
 	if n.Level+1 >= e.Plan.K()-1 {
 		panic("mine: Extend beyond the last extending level; use LeafCount")
 	}
-	return e.extend(n, v)
+	child := e.newNode()
+	_, info := e.extend(n, v, child, false)
+	return child, info
+}
+
+// ExtendLeaf performs the task of adding v at the last extending level
+// (n.Level+1 == K-2) and returns the number of embeddings it completes,
+// the value LeafCount would report on Extend's child, without building
+// that child. The TaskInfo matches Extend's field for field except that
+// the final operation's Result is nil: that operation is counted over
+// the symmetry-breaking window instead of materialized. Earlier
+// operations of the task (postponed anti-subtractions) still materialize
+// into engine scratch, valid until the next task.
+func (e *Engine) ExtendLeaf(n *Node, v uint32) (uint64, TaskInfo) {
+	if n.Level+1 != e.Plan.K()-2 {
+		panic("mine: ExtendLeaf below or above the last extending level")
+	}
+	return e.extend(n, v, e.leaf, true)
 }
 
 // claimGroup appends a grouping-scratch slot, reusing its targets backing.
@@ -226,9 +245,12 @@ func (e *Engine) findUpdate(op plan.OpKind, srcID int32) *opGroup {
 	return e.claimGroup(op, nil, srcID)
 }
 
-func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
+// extend applies level n.Level+1's actions for vertex v into child. With
+// leaf set, the task's final operation is counted over the leaf window
+// instead of materialized and the count is returned; otherwise the count
+// is 0 and child holds the new node.
+func (e *Engine) extend(n *Node, v uint32, child *Node, leaf bool) (uint64, TaskInfo) {
 	level := n.Level + 1
-	child := e.newNode()
 	child.Level = level
 	child.Verts = append(child.Verts[:0], n.Verts...)
 	child.Verts = append(child.Verts, v)
@@ -256,8 +278,14 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		g.targets = append(g.targets, act.Target)
 	}
 
+	// At the last extending level every action targets the final slot,
+	// so the last operation emitted produces the set LeafCount would
+	// scan; a leaf task counts it in place of materializing it.
+	var count uint64
+	counted := false
 	for gi := 0; gi < e.ngroups; gi++ {
 		g := &e.groups[gi]
+		last := leaf && gi == e.ngroups-1
 		var result []uint32
 		id := e.newID()
 		switch g.op {
@@ -265,15 +293,20 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 			result = nv
 			// Postponed anti-subtractions: peel each pending ancestor's
 			// neighbor list off N(v) (paper §2.1).
-			for _, m := range g.pending {
+			for pi, m := range g.pending {
 				anc := child.Verts[m]
 				ancN := e.G.Neighbors(anc)
 				e.fetch = append(e.fetch, anc)
 				// The accumulating candidate loses ancN's members; the IU
 				// executes this as a subtraction with the candidate as the
 				// short input and the ancestor's neighbor list as the long.
-				out := e.subtractInto(child.claimBuf(), result, ancN, anc)
-				child.storeBuf(out)
+				var out []uint32
+				if last && pi == len(g.pending)-1 {
+					count, counted = e.leafOpCount(child, plan.OpSubtract, result, ancN, anc), true
+				} else {
+					out = e.subtractInto(child.claimBuf(), result, ancN, anc)
+					child.storeBuf(out)
+				}
 				e.ops = append(e.ops, SetOpExec{
 					Kind:       setops.OpSubtract,
 					Short:      result,
@@ -287,23 +320,27 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		case plan.OpIntersect, plan.OpSubtract:
 			src := n.sets[g.targets[0]]
 			kind := setops.OpIntersect
-			out := child.claimBuf()
 			if g.op == plan.OpSubtract {
 				kind = setops.OpSubtract
-				out = e.subtractInto(out, src, nv, v)
-			} else {
-				out = e.intersectInto(out, src, nv, v)
 			}
-			child.storeBuf(out)
+			switch {
+			case last:
+				count, counted = e.leafOpCount(child, g.op, src, nv, v), true
+			case g.op == plan.OpSubtract:
+				result = e.subtractInto(child.claimBuf(), src, nv, v)
+				child.storeBuf(result)
+			default:
+				result = e.intersectInto(child.claimBuf(), src, nv, v)
+				child.storeBuf(result)
+			}
 			e.ops = append(e.ops, SetOpExec{
 				Kind:       kind,
 				Short:      src,
 				Long:       nv,
 				LongVertex: v,
 				Targets:    g.targets,
-				Result:     out,
+				Result:     result,
 			})
-			result = out
 		default:
 			panic(fmt.Sprintf("mine: unexpected op kind %v", g.op))
 		}
@@ -312,32 +349,84 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 			child.setID[t] = id
 		}
 	}
-	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+	if leaf && !counted {
+		// No operation produced the final set (an inherited set, or a
+		// plain N(v) initialization): scan it as LeafCount does.
+		count = e.LeafCount(child)
+	}
+	return count, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
 }
 
-// intersectInto computes src ∩ N(v) into dst with adaptive dispatch.
+// intersectInto computes src ∩ N(v) into dst with format-aware dispatch:
+// dense row, then compressed bitmap row, then the size-skew choice
+// between galloping and merge on the raw arrays.
 func (e *Engine) intersectInto(dst, src, nv []uint32, v uint32) []uint32 {
-	switch row := e.hub.Row(v); {
+	row, bm := e.adj.Rows(v)
+	switch {
 	case row != nil:
 		return setops.IntersectBitsInto(dst, src, row)
-	case len(nv) >= setops.GallopSkewThreshold*len(src) ||
-		len(src) >= setops.GallopSkewThreshold*len(nv):
+	case bm != nil:
+		return setops.IntersectArrayBitmapInto(dst, src, bm)
+	case skewed(src, nv):
 		return setops.IntersectGallopingInto(dst, src, nv)
 	default:
 		return setops.IntersectInto(dst, src, nv)
 	}
 }
 
-// subtractInto computes src − N(v) into dst with adaptive dispatch.
+// subtractInto computes src − N(v) into dst with format-aware dispatch.
 func (e *Engine) subtractInto(dst, src, nv []uint32, v uint32) []uint32 {
-	switch row := e.hub.Row(v); {
+	row, bm := e.adj.Rows(v)
+	switch {
 	case row != nil:
 		return setops.SubtractBitsInto(dst, src, row)
+	case bm != nil:
+		return setops.SubtractArrayBitmapInto(dst, src, bm)
 	case len(nv) >= setops.GallopSkewThreshold*len(src):
 		return setops.SubtractGallopingInto(dst, src, nv)
 	default:
 		return setops.SubtractInto(dst, src, nv)
 	}
+}
+
+// leafOpCount counts op(src, N(v)) for a leaf node: only the part of src
+// inside the final level's symmetry-breaking window is read, and the
+// node's own vertices are excluded, so the result equals LeafCount over
+// the materialized set.
+func (e *Engine) leafOpCount(leaf *Node, op plan.OpKind, src, nv []uint32, v uint32) uint64 {
+	a, b := e.window(leaf, src)
+	win := src[a:b]
+	if len(win) == 0 {
+		return 0
+	}
+	first, last := win[0], win[len(win)-1]
+	row, bm := e.adj.Rows(v)
+	var inter int
+	switch {
+	case row != nil:
+		inter = setops.IntersectCountBits(win, row)
+	case bm != nil:
+		inter = setops.IntersectArrayBitmapCount(win, bm)
+	default:
+		// Neighbors below the window cannot match: skip them.
+		long := nv[setops.LowerBound(nv, first):]
+		if skewed(win, long) {
+			inter = setops.IntersectCountGalloping(win, long)
+		} else {
+			inter = setops.IntersectCount(win, long)
+		}
+	}
+	keep := op == plan.OpIntersect
+	cnt := len(win) - inter
+	if keep {
+		cnt = inter
+	}
+	for _, u := range leaf.Verts {
+		if u >= first && u <= last && setops.Contains(win, u) && leafMember(nv, row, bm, u) == keep {
+			cnt--
+		}
+	}
+	return uint64(cnt)
 }
 
 // bounds computes the symmetry-breaking window (lo, hi) for selecting the

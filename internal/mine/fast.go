@@ -12,9 +12,9 @@ import (
 // route through it):
 //
 //   - adaptive kernel dispatch: every set operation picks merge,
-//     galloping, or dense-bitvector probing per call, from the input size
-//     ratio and whether the neighbor-list side belongs to a hub vertex
-//     with a precomputed bitset row (graph.HubIndex);
+//     galloping, dense-bitvector or compressed-bitmap probing per call,
+//     from the input size ratio and the neighbor-list side's storage tier
+//     in the graph's hybrid view (graph.HybridAdj);
 //   - zero steady-state allocation: candidate sets live in per-level
 //     scratch buffers that are reused across siblings and roots, so after
 //     buffer capacities warm up, mining a root allocates nothing;
@@ -31,7 +31,6 @@ type Counter struct {
 	g     *graph.Graph
 	pl    *plan.Plan
 	sched [][]step
-	hub   *graph.HubIndex
 	adj   *graph.HybridAdj
 	k     int
 
@@ -62,7 +61,7 @@ type frame struct {
 // array×bitmap container probes; CountBmWord is the word-parallel
 // popcount leaf path over two stored rows.
 type KernelStats struct {
-	Merge, Gallop, Bits, BmProbe                    uint64
+	Merge, Gallop, Bits, BmProbe                     uint64
 	CountMerge, CountGallop, CountBits, CountBmProbe uint64
 	CountBmWord                                      uint64
 }
@@ -98,10 +97,8 @@ func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy)
 		// Pure merge/gallop: no dense rows, no bitmaps.
 	case graph.StorageAdaptive:
 		c.adj = g.Hybrid()
-		c.hub = c.adj.Hub()
 	default:
 		c.adj = graph.NewHybridAdj(g, policy, 0)
-		c.hub = c.adj.Hub()
 	}
 	c.verts = make([]uint32, c.k)
 	c.frames = make([]frame, c.k-1)
@@ -113,32 +110,11 @@ func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy)
 	return c
 }
 
-// SetHubIndex overrides the hub index, primarily so tests can force the
-// dense bitvector kernels on small graphs; nil disables them. The
-// override also detaches the hybrid bitmap tier, so dispatch never
-// touches compressed bitmaps.
-func (c *Counter) SetHubIndex(h *graph.HubIndex) {
-	c.hub = h
-	c.adj = nil
-}
-
-// SetHybrid overrides the storage view (and with it the hub index),
-// letting tests and ablations share one forced-policy view across
-// counters; nil detaches both tiers.
+// SetHybrid overrides the storage view, letting tests and ablations
+// share one forced-policy view across counters (or force the dense tier
+// with a low hub threshold); nil detaches every stored row.
 func (c *Counter) SetHybrid(adj *graph.HybridAdj) {
 	c.adj = adj
-	c.hub = adj.Hub()
-}
-
-// rows resolves v's stored representations through the cheapest check
-// available: the hybrid view's O(1) tier array when one is attached
-// (the serving default — no per-dispatch map hash for array-tier
-// vertices), or the hub override installed by SetHubIndex.
-func (c *Counter) rows(v uint32) ([]uint64, *setops.Bitmap) {
-	if c.adj != nil {
-		return c.adj.Rows(v)
-	}
-	return c.hub.Row(v), nil
 }
 
 // Stats returns the kernel-dispatch counters accumulated so far.
@@ -228,7 +204,7 @@ func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
 // dispatch: dense row, then compressed bitmap row, then the size-skew
 // choice between galloping and merge on the raw arrays.
 func (c *Counter) updateInto(op plan.OpKind, dst, src, nv []uint32, v uint32) []uint32 {
-	row, bm := c.rows(v)
+	row, bm := c.adj.Rows(v)
 	if op == plan.OpIntersect {
 		switch {
 		case row != nil:
@@ -264,7 +240,7 @@ func (c *Counter) updateInto(op plan.OpKind, dst, src, nv []uint32, v uint32) []
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
 // anti-subtraction of §2.1, candidate side first).
 func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
-	row, bm := c.rows(anc)
+	row, bm := c.adj.Rows(anc)
 	if row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInto(dst, a, row)
@@ -284,7 +260,7 @@ func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
 
 // subtractNeighborsInPlace compacts a to a − N(anc) in place.
 func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
-	row, bm := c.rows(anc)
+	row, bm := c.adj.Rows(anc)
 	if row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInPlace(a, row)
@@ -324,7 +300,7 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 	}
 	a, b := c.window(c.k-1, src)
 	win := src[a:b]
-	row, bm := c.rows(v)
+	row, bm := c.adj.Rows(v)
 	used := c.verts[:c.k-1]
 	var cnt int
 	if st.op == plan.OpIntersect {
@@ -343,7 +319,7 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 			cnt = setops.IntersectCount(win, nv)
 		}
 		for _, u := range used {
-			if setops.Contains(win, u) && c.leafMember(nv, row, bm, u) {
+			if setops.Contains(win, u) && leafMember(nv, row, bm, u) {
 				cnt--
 			}
 		}
@@ -363,7 +339,7 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 			cnt = len(win) - setops.IntersectCount(win, nv)
 		}
 		for _, u := range used {
-			if setops.Contains(win, u) && !c.leafMember(nv, row, bm, u) {
+			if setops.Contains(win, u) && !leafMember(nv, row, bm, u) {
 				cnt--
 			}
 		}
@@ -377,11 +353,11 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 // the same open interval the window() slicing selects, and the
 // used-vertex exclusion applies the same membership tests.
 func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
-	uDense, uBm := c.rows(u)
+	uDense, uBm := c.adj.Rows(u)
 	if uDense == nil && uBm == nil {
 		return 0, false
 	}
-	vDense, vBm := c.rows(v)
+	vDense, vBm := c.adj.Rows(v)
 	if vDense == nil && vBm == nil {
 		return 0, false
 	}
@@ -435,7 +411,7 @@ func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
 }
 
 // leafMember reports u ∈ N(v) through the stored row when available.
-func (c *Counter) leafMember(nv []uint32, row []uint64, bm *setops.Bitmap, u uint32) bool {
+func leafMember(nv []uint32, row []uint64, bm *setops.Bitmap, u uint32) bool {
 	if row != nil {
 		return setops.BitsContain(row, u)
 	}

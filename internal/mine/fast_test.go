@@ -109,7 +109,8 @@ func TestForcedHubKernels(t *testing.T) {
 		gen.ErdosRenyi(40, 220, 3),
 	}
 	for gi, g := range graphs {
-		hub := graph.NewHubIndex(g, 1) // every vertex gets a row
+		// Hub threshold 1: every non-isolated vertex gets a dense row.
+		adj := graph.NewHybridAdj(g, graph.StorageAdaptive, 1)
 		for _, name := range pattern.Names() {
 			p, err := pattern.ByName(name)
 			if err != nil {
@@ -121,7 +122,7 @@ func TestForcedHubKernels(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := NewCounter(g, pl)
-				c.SetHubIndex(hub)
+				c.SetHybrid(adj)
 				var got uint64
 				for v := 0; v < g.NumVertices(); v++ {
 					got += c.Root(uint32(v))

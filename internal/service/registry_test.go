@@ -92,8 +92,10 @@ func TestRegistryBuildOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a different entry pointer", i)
 		}
 	}
-	if entries[0].Hubs == nil {
-		t.Error("entry has no hub index")
+	if fp := entries[0].Graph.Hybrid().Footprint(); fp.DenseRows != entries[0].Info.DenseRows ||
+		fp.BitmapRows != entries[0].Info.BitmapRows {
+		t.Errorf("entry info rows dense=%d bitmap=%d, hybrid view dense=%d bitmap=%d",
+			entries[0].Info.DenseRows, entries[0].Info.BitmapRows, fp.DenseRows, fp.BitmapRows)
 	}
 	if entries[0].Info.Vertices != entries[0].Stats.Vertices {
 		t.Error("Info does not mirror Stats")

@@ -119,6 +119,12 @@ func Pair(long, short Segmentation) Pairing {
 // PairInto is Pair writing into a caller-owned Pairing, reusing its Loads
 // storage — the PE models' hot path calls it once per set operation, with
 // zero steady-state allocation.
+//
+// The join runs long-major: the short segments overlapping long segment
+// k form the contiguous range [a, b) where a is the first short segment
+// ending at or after k's minimum and b the first starting after k's
+// maximum, and both bounds only move forward as k grows. Every Loads
+// entry is written exactly once.
 func PairInto(p *Pairing, long, short Segmentation) {
 	nl, ns := long.NumSegments(), short.NumSegments()
 	p.Long, p.Short = long, short
@@ -126,11 +132,10 @@ func PairInto(p *Pairing, long, short Segmentation) {
 	if cap(p.Loads) < nl {
 		p.Loads = make([]SegLoad, nl)
 	}
-	p.Loads = p.Loads[:nl]
-	for i := range p.Loads {
-		p.Loads[i] = SegLoad{}
-	}
+	loads := p.Loads[:nl]
+	p.Loads = loads
 	if nl == 0 || ns == 0 {
+		clear(loads)
 		return
 	}
 	depth := 1
@@ -138,18 +143,22 @@ func PairInto(p *Pairing, long, short Segmentation) {
 		depth++
 	}
 	p.SearchSteps = ns * depth
-	j := 0 // current long segment
-	for i := 0; i < ns; i++ {
-		sMin, sMax := short.segMin(i), short.segMax(i)
-		for j < nl && long.segMax(j) < sMin {
-			j++
+	a, b := 0, 0
+	for k := range loads {
+		lMin, lMax := long.segMin(k), long.segMax(k)
+		for a < ns && short.segMax(a) < lMin {
+			a++
 		}
-		for k := j; k < nl && long.segMin(k) <= sMax; k++ {
-			ld := &p.Loads[k]
-			if ld.ShortCount == 0 {
-				ld.ShortStart = i
-			}
-			ld.ShortCount++
+		if b < a {
+			b = a
+		}
+		for b < ns && short.segMin(b) <= lMax {
+			b++
+		}
+		if b > a {
+			loads[k] = SegLoad{ShortStart: a, ShortCount: b - a}
+		} else {
+			loads[k] = SegLoad{}
 		}
 	}
 }

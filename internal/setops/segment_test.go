@@ -81,6 +81,54 @@ func TestPairDisjointRanges(t *testing.T) {
 	}
 }
 
+// TestPairIntoMatchesOverlapDefinition checks the long-major join
+// against the pairing's definition — long segment k is paired with every
+// short segment whose value range overlaps its own — on random sets and
+// segment geometries, reusing one Pairing so stale Loads entries from a
+// larger earlier call would show.
+func TestPairIntoMatchesOverlapDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	geoms := [][2]int{{16, 4}, {4, 2}, {1, 1}, {3, 5}}
+	var p Pairing
+	for trial := 0; trial < 500; trial++ {
+		for _, g := range geoms {
+			long := Segment(randomSet(rng, 150, 400), g[0])
+			short := Segment(randomSet(rng, 80, 400), g[1])
+			PairInto(&p, long, short)
+			nl, ns := long.NumSegments(), short.NumSegments()
+			if len(p.Loads) != nl {
+				t.Fatalf("geom %v: %d loads for %d long segments", g, len(p.Loads), nl)
+			}
+			for k := 0; k < nl; k++ {
+				want := SegLoad{}
+				for i := 0; i < ns; i++ {
+					if short.segMax(i) < long.segMin(k) || short.segMin(i) > long.segMax(k) {
+						continue
+					}
+					if want.ShortCount == 0 {
+						want.ShortStart = i
+					}
+					want.ShortCount++
+				}
+				if p.Loads[k] != want {
+					t.Fatalf("geom %v long %d: load %+v, want %+v", g, k, p.Loads[k], want)
+				}
+			}
+			wantSteps := 0
+			if nl > 0 && ns > 0 {
+				depth := 1
+				for 1<<depth < nl+1 {
+					depth++
+				}
+				wantSteps = ns * depth
+			}
+			if p.SearchSteps != wantSteps {
+				t.Fatalf("geom %v: SearchSteps %d, want %d", g, p.SearchSteps, wantSteps)
+			}
+		}
+	}
+}
+
 func TestBalanceMaxLoadSplit(t *testing.T) {
 	// One long segment overlapped by 5 short segments, maxLoad 2 → 3 workloads.
 	long := Segment([]uint32{0, 100}, 16)
