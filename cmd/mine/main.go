@@ -53,6 +53,10 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "mine: -graph is required")
 		return 2
 	}
+	if *limit < 0 {
+		fmt.Fprintln(os.Stderr, "mine: -limit must not be negative")
+		return 2
+	}
 	// SIGINT/SIGTERM cancels the count: workers drain their current root
 	// chunk, the partial count is reported, and the process exits 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -98,11 +102,13 @@ func realMain() int {
 			return fail(err)
 		}
 		n := 0
-		mine.List(g, pl, func(emb []uint32) bool {
-			fmt.Println(emb)
-			n++
-			return n < *limit
-		})
+		if *limit > 0 {
+			mine.List(g, pl, func(emb []uint32) bool {
+				fmt.Println(emb)
+				n++
+				return n < *limit
+			})
+		}
 	default:
 		p, err := pattern.ByName(*patternArg)
 		if err != nil {

@@ -20,9 +20,6 @@ type Graph struct {
 	offsets []int64  // len = NumVertices()+1
 	neigh   []uint32 // len = 2 × undirected edge count
 
-	hubOnce sync.Once
-	hubIdx  *HubIndex // lazily built by Hubs
-
 	hybridOnce sync.Once
 	hybridAdj  *HybridAdj // lazily built by Hybrid
 }

@@ -10,10 +10,12 @@ import (
 // neighbor list is classified at construction into one of three tiers,
 // cheapest representation first —
 //
-//   - dense: hub vertices (degree ≥ the hub threshold) keep the
-//     HubIndex's full-universe bitset rows, one bit per vertex. The
-//     HubIndex *is* the dense tier; HybridAdj subsumes rather than
-//     replaces it.
+//   - dense: hub vertices (degree ≥ the hub threshold) keep a
+//     full-universe bitset row, one bit per vertex, so a set operation
+//     against the hub's list costs one word probe per element of the
+//     other input, independent of the hub's degree (SISA's bitvector
+//     observation: on power-law graphs the few hubs absorb a
+//     disproportionate share of set-operation work).
 //   - bitmap: vertices whose list is dense over its own span
 //     (setops.ChooseFormat) get a roaring-like compressed bitmap,
 //     materialized lazily per vertex on first use and published with a
@@ -28,11 +30,15 @@ import (
 type HybridAdj struct {
 	g      *Graph
 	policy StoragePolicy
-	hub    *HubIndex // dense tier; nil under forced policies
 
-	tiers      []tier
-	containers []int32 // per-vertex container count, bitmap tier only
-	rows       []atomic.Pointer[setops.Bitmap]
+	tiers []tier
+	// slot[v] is v's container count in the bitmap tier, or its row
+	// index into dense in the dense tier.
+	slot []int32
+	rows []atomic.Pointer[setops.Bitmap]
+	// dense holds the dense tier's rows back to back, words each.
+	dense []uint64
+	words int
 
 	eligibleRows  int
 	eligibleBytes int64
@@ -79,6 +85,24 @@ const (
 	tierDense
 )
 
+// hubMinDegree floors the default hub threshold so small graphs build
+// no dense rows at all (the lists are too short for bit probes to
+// matter).
+const hubMinDegree = 128
+
+// hubFraction sets the default hub threshold to NumVertices/hubFraction:
+// a row costs n/8 bytes versus 4·degree bytes for the list, so degree ≥
+// n/32 is the break-even point where the bitset is no larger than the
+// neighbor list it shadows. The dense tier's memory is then bounded by
+// 2E/threshold rows × n/8 bytes = E bytes.
+const hubFraction = 32
+
+// defaultHubThreshold returns the hub degree threshold NewHybridAdj
+// uses for a graph with n vertices.
+func defaultHubThreshold(n int) int {
+	return max(n/hubFraction, hubMinDegree)
+}
+
 // NewHybridAdj classifies every vertex of g under the policy.
 // hubThreshold ≤ 0 selects the default hub threshold; it is ignored by
 // the forced policies, which build no dense tier.
@@ -92,22 +116,17 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 	if policy == StorageArray {
 		return h
 	}
+	h.slot = make([]int32, n)
+	h.rows = make([]atomic.Pointer[setops.Bitmap], n)
 	if policy == StorageAdaptive {
 		if hubThreshold <= 0 {
-			h.hub = g.Hubs()
-		} else {
-			h.hub = NewHubIndex(g, hubThreshold)
+			hubThreshold = defaultHubThreshold(n)
 		}
+		h.buildDense(hubThreshold)
 	}
-	h.containers = make([]int32, n)
-	h.rows = make([]atomic.Pointer[setops.Bitmap], n)
 	for v := 0; v < n; v++ {
 		nv := g.Neighbors(uint32(v))
-		if len(nv) == 0 {
-			continue
-		}
-		if h.hub != nil && h.hub.Row(uint32(v)) != nil {
-			h.tiers[v] = tierDense
+		if len(nv) == 0 || h.tiers[v] == tierDense {
 			continue
 		}
 		if policy == StorageAdaptive {
@@ -123,11 +142,44 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 				c++
 			}
 		}
-		h.containers[v] = c
+		h.slot[v] = c
 		h.eligibleRows++
 		h.eligibleBytes += 12 * int64(c)
 	}
 	return h
+}
+
+// buildDense puts every vertex of degree ≥ threshold in the dense tier,
+// sizing the row storage exactly before filling it.
+func (h *HybridAdj) buildDense(threshold int) {
+	n := len(h.tiers)
+	hubs := 0
+	for v := 0; v < n; v++ {
+		if h.g.Degree(uint32(v)) >= threshold {
+			hubs++
+		}
+	}
+	h.words = (n + 63) / 64
+	h.dense = make([]uint64, hubs*h.words)
+	i := int32(0)
+	for v := 0; v < n; v++ {
+		if h.g.Degree(uint32(v)) < threshold {
+			continue
+		}
+		h.tiers[v], h.slot[v] = tierDense, i
+		row := h.denseRow(uint32(v))
+		for _, w := range h.g.Neighbors(uint32(v)) {
+			row[w>>6] |= 1 << (w & 63)
+		}
+		i++
+	}
+}
+
+// denseRow returns v's full-universe bitset; the caller has already
+// checked the tier.
+func (h *HybridAdj) denseRow(v uint32) []uint64 {
+	i := int(h.slot[v]) * h.words
+	return h.dense[i : i+h.words : i+h.words]
 }
 
 // Hybrid returns the graph's adaptive-policy hybrid view, building it on
@@ -144,15 +196,6 @@ func (h *HybridAdj) Policy() StoragePolicy {
 		return StorageArray
 	}
 	return h.policy
-}
-
-// DenseRow returns v's full-universe bitset when v is in the dense
-// tier, nil otherwise.
-func (h *HybridAdj) DenseRow(v uint32) []uint64 {
-	if h == nil || h.hub == nil {
-		return nil
-	}
-	return h.hub.Row(v)
 }
 
 // BitmapRow returns v's compressed bitmap, materializing it on first
@@ -186,15 +229,15 @@ func (h *HybridAdj) bitmapRow(v uint32) *setops.Bitmap {
 // bitset when v is in the dense tier, or its compressed bitmap
 // (materializing lazily) when in the bitmap tier; at most one is
 // non-nil. The tier check is a single slice load, so hot dispatch
-// loops can call this per operand without paying the HubIndex map
-// hash for the common array-tier vertex.
+// loops can call this per operand at no cost for the common array-tier
+// vertex.
 func (h *HybridAdj) Rows(v uint32) ([]uint64, *setops.Bitmap) {
 	if h == nil || int(v) >= len(h.tiers) {
 		return nil, nil
 	}
 	switch h.tiers[v] {
 	case tierDense:
-		return h.hub.Row(v), nil
+		return h.denseRow(v), nil
 	case tierBitmap:
 		return nil, h.bitmapRow(v)
 	}
@@ -218,9 +261,9 @@ func (h *HybridAdj) RowBytes(v uint32) int64 {
 	}
 	switch h.tiers[v] {
 	case tierDense:
-		return int64(8 * len(h.hub.Row(v)))
+		return int64(8 * h.words)
 	case tierBitmap:
-		return 12 * int64(h.containers[v])
+		return 12 * int64(h.slot[v])
 	default:
 		return h.g.NeighborBytes(v)
 	}
@@ -267,8 +310,8 @@ func (h *HybridAdj) Footprint() Footprint {
 		return Footprint{}
 	}
 	return Footprint{
-		DenseRows:         h.hub.NumHubs(),
-		DenseBytes:        h.hub.MemoryBytes(),
+		DenseRows:         len(h.dense) / max(h.words, 1),
+		DenseBytes:        int64(8 * len(h.dense)),
 		BitmapRows:        h.eligibleRows,
 		BitmapBytes:       h.eligibleBytes,
 		MaterializedRows:  int(h.matRows.Load()),

@@ -31,7 +31,7 @@ func hybridTestGraph() *Graph {
 func TestHybridAdjTiers(t *testing.T) {
 	g := hybridTestGraph()
 	h := NewHybridAdj(g, StorageAdaptive, 100) // hub=200 (deg 120) qualifies
-	if h.DenseRow(200) == nil {
+	if row, _ := h.Rows(200); row == nil {
 		t.Fatal("vertex 200 should be in the dense tier")
 	}
 	if h.BitmapRow(200) != nil {
@@ -45,7 +45,7 @@ func TestHybridAdjTiers(t *testing.T) {
 		t.Fatalf("bitmap row decode = %v, want %v", got, g.Neighbors(1))
 	}
 	// Path vertex: one neighbor far away.
-	if h.BitmapRow(305) != nil || h.DenseRow(305) != nil {
+	if row, bm := h.Rows(305); row != nil || bm != nil {
 		t.Fatal("sparse vertex 305 should stay on the array tier")
 	}
 	if got, want := h.RowBytes(305), g.NeighborBytes(305); got != want {
@@ -53,11 +53,63 @@ func TestHybridAdjTiers(t *testing.T) {
 	}
 }
 
+func hubTestGraph() *Graph {
+	// Star center 0 with 10 leaves, plus a 1-2 edge for a non-hub op.
+	b := NewBuilder(11)
+	for v := uint32(1); v <= 10; v++ {
+		b.AddEdge(0, v)
+	}
+	b.AddEdge(1, 2)
+	return b.Build()
+}
+
+func TestHybridDenseRows(t *testing.T) {
+	g := hubTestGraph()
+	h := NewHybridAdj(g, StorageAdaptive, 5)
+	if fp := h.Footprint(); fp.DenseRows != 1 || fp.DenseBytes != 8 {
+		t.Fatalf("dense tier = %d rows / %d bytes, want 1 / 8 (only the star center)", fp.DenseRows, fp.DenseBytes)
+	}
+	row, bm := h.Rows(0)
+	if row == nil || bm != nil {
+		t.Fatal("center has no dense row")
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		got := row[v>>6]&(1<<(uint(v)&63)) != 0
+		if want := g.HasEdge(0, uint32(v)); got != want {
+			t.Errorf("row bit %d = %v, want %v", v, got, want)
+		}
+	}
+	if row, _ := h.Rows(1); row != nil {
+		t.Error("leaf vertex has a dense row")
+	}
+	var nilView *HybridAdj
+	if row, bm := nilView.Rows(0); row != nil || bm != nil {
+		t.Error("nil view returned a row")
+	}
+}
+
+func TestHubsCachedAndDefaultThreshold(t *testing.T) {
+	g := hubTestGraph()
+	if g.Hybrid() != g.Hybrid() {
+		t.Error("hybrid view not cached")
+	}
+	// Default threshold floors at hubMinDegree, so this tiny graph has none.
+	if n := g.Hybrid().Footprint().DenseRows; n != 0 {
+		t.Errorf("tiny graph has %d default dense rows, want 0", n)
+	}
+	if got := defaultHubThreshold(100); got != hubMinDegree {
+		t.Errorf("defaultHubThreshold(100) = %d, want floor %d", got, hubMinDegree)
+	}
+	if got := defaultHubThreshold(1 << 20); got != (1<<20)/hubFraction {
+		t.Errorf("defaultHubThreshold(1M) = %d", got)
+	}
+}
+
 func TestHybridAdjForcedPolicies(t *testing.T) {
 	g := hybridTestGraph()
 	arr := NewHybridAdj(g, StorageArray, 0)
 	for v := 0; v < g.NumVertices(); v++ {
-		if arr.BitmapRow(uint32(v)) != nil || arr.DenseRow(uint32(v)) != nil {
+		if row, bm := arr.Rows(uint32(v)); row != nil || bm != nil {
 			t.Fatalf("forced-array policy materialized a row for %d", v)
 		}
 	}
@@ -106,7 +158,7 @@ func TestHybridFootprintExact(t *testing.T) {
 		t.Fatalf("summed row bytes %d (%d rows) != footprint %d (%d rows)",
 			sum, rows, after.BitmapBytes, after.BitmapRows)
 	}
-	if after.DenseRows != h.hub.NumHubs() || after.DenseBytes != h.hub.MemoryBytes() {
+	if after.DenseRows != 1 || after.DenseBytes != h.RowBytes(200) {
 		t.Fatalf("dense tier accounting mismatch: %+v", after)
 	}
 	if after.HybridBytes() != after.DenseBytes+after.BitmapBytes {

@@ -11,8 +11,6 @@
 package mine
 
 import (
-	"fmt"
-
 	"fingers/internal/graph"
 	"fingers/internal/plan"
 	"fingers/internal/setops"
@@ -71,9 +69,6 @@ type Node struct {
 	// sets[j] is the materialized partial candidate set S_j(Level) for
 	// j > Level; nil when not yet started.
 	sets [][]uint32
-	// setID[j] identifies the operation that produced sets[j]; equal IDs
-	// mean shared storage (used for common-subexpression detection).
-	setID []int32
 	// bufs are the result arenas of the extend that produced this node
 	// (one per set operation); capacity survives pooling.
 	bufs [][]uint32
@@ -94,53 +89,39 @@ func (n *Node) storeBuf(b []uint32) {
 	n.nbuf++
 }
 
-// opGroup is one distinct set operation during action grouping.
-type opGroup struct {
-	op      plan.OpKind
-	pending []int
-	srcID   int32
-	targets []int
-}
-
 // Engine walks one plan's search tree on one graph. An Engine is not safe
 // for concurrent use; create one per worker goroutine.
 //
-// The engine dispatches each set operation adaptively through the
-// graph's hybrid storage view (dense-row, compressed-bitmap, galloping or
-// merge kernels, as the software miner does) — the kernels differ per
-// call but the set algebra does not, so results, TaskInfo geometry, and
-// therefore modeled timing are bit-identical to the plain merge walk.
+// Each task runs its level's static schedule (buildSchedule), so shared
+// updates compute once, and dispatches each set operation through the
+// graph's hybrid storage view like the software miner does. The kernels
+// differ per call but the set algebra does not, so results, TaskInfo
+// geometry, and therefore modeled timing are bit-identical to the plain
+// merge walk.
 type Engine struct {
-	G      *graph.Graph
-	Plan   *plan.Plan
-	nextID int32
+	G    *graph.Graph
+	Plan *plan.Plan
 
-	adj  *graph.HybridAdj
-	root *Node // persistent level -1 parent for Start
-	leaf *Node // ExtendLeaf's scratch child; never pooled or returned
+	kernels
+	sched [][]step
+	root  *Node // persistent level -1 parent for Start
+	leaf  *Node // ExtendLeaf's scratch child; never pooled or returned
 
 	// Node pool.
 	free []*Node
 
 	// Per-task scratch backing TaskInfo; valid until the next task.
-	ops     []SetOpExec
-	fetch   []uint32
-	groups  []opGroup
-	ngroups int
+	ops   []SetOpExec
+	fetch []uint32
 }
 
 // NewEngine returns an engine for the plan on g.
 func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
-	e := &Engine{G: g, Plan: pl, adj: g.Hybrid()}
+	e := &Engine{G: g, Plan: pl, kernels: kernels{adj: g.Hybrid()}, sched: buildSchedule(pl)}
 	e.root = e.newNode()
 	e.root.Level = -1
 	e.leaf = e.newNode()
 	return e
-}
-
-func (e *Engine) newID() int32 {
-	e.nextID++
-	return e.nextID
 }
 
 // newNode takes a node from the pool, or allocates one.
@@ -154,7 +135,6 @@ func (e *Engine) newNode() *Node {
 	return &Node{
 		Verts: make([]uint32, 0, k),
 		sets:  make([][]uint32, k),
-		setID: make([]int32, k),
 	}
 }
 
@@ -203,49 +183,7 @@ func (e *Engine) ExtendLeaf(n *Node, v uint32) (uint64, TaskInfo) {
 	return e.extend(n, v, e.leaf, true)
 }
 
-// claimGroup appends a grouping-scratch slot, reusing its targets backing.
-func (e *Engine) claimGroup(op plan.OpKind, pending []int, srcID int32) *opGroup {
-	if e.ngroups == len(e.groups) {
-		e.groups = append(e.groups, opGroup{})
-	}
-	g := &e.groups[e.ngroups]
-	e.ngroups++
-	g.op, g.pending, g.srcID = op, pending, srcID
-	g.targets = g.targets[:0]
-	return g
-}
-
-func (e *Engine) findInit(pending []int) *opGroup {
-	for i := 0; i < e.ngroups; i++ {
-		g := &e.groups[i]
-		if g.op != plan.OpInit || len(g.pending) != len(pending) {
-			continue
-		}
-		same := true
-		for x := range pending {
-			if g.pending[x] != pending[x] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return g
-		}
-	}
-	return e.claimGroup(plan.OpInit, pending, 0)
-}
-
-func (e *Engine) findUpdate(op plan.OpKind, srcID int32) *opGroup {
-	for i := 0; i < e.ngroups; i++ {
-		g := &e.groups[i]
-		if g.op == op && g.op != plan.OpInit && g.srcID == srcID {
-			return g
-		}
-	}
-	return e.claimGroup(op, nil, srcID)
-}
-
-// extend applies level n.Level+1's actions for vertex v into child. With
+// extend runs level n.Level+1's schedule for vertex v into child. With
 // leaf set, the task's final operation is counted over the leaf window
 // instead of materialized and the count is returned; otherwise the count
 // is 0 and child holds the new node.
@@ -255,54 +193,42 @@ func (e *Engine) extend(n *Node, v uint32, child *Node, leaf bool) (uint64, Task
 	child.Verts = append(child.Verts[:0], n.Verts...)
 	child.Verts = append(child.Verts, v)
 	copy(child.sets, n.sets)
-	copy(child.setID, n.setID)
 	child.nbuf = 0
 
 	e.ops = e.ops[:0]
 	e.fetch = e.fetch[:0]
-	e.ngroups = 0
 
 	nv := e.G.Neighbors(v)
 	e.fetch = append(e.fetch, v)
 
-	// Group this level's actions so shared updates compute once:
-	// initializations keyed by their pending-ancestor list, arithmetic
-	// updates keyed by (source set identity, op kind).
-	for _, act := range e.Plan.Levels[level].Actions {
-		var g *opGroup
-		if act.Op == plan.OpInit {
-			g = e.findInit(act.Pending)
-		} else {
-			g = e.findUpdate(act.Op, n.setID[act.Target])
-		}
-		g.targets = append(g.targets, act.Target)
-	}
-
-	// At the last extending level every action targets the final slot,
-	// so the last operation emitted produces the set LeafCount would
-	// scan; a leaf task counts it in place of materializing it.
+	// At the last extending level every step targets the final slot, so
+	// the last operation emitted produces the set LeafCount would scan;
+	// a leaf task counts it in place of materializing it.
 	var count uint64
 	counted := false
-	for gi := 0; gi < e.ngroups; gi++ {
-		g := &e.groups[gi]
-		last := leaf && gi == e.ngroups-1
+	var w window
+	if leaf {
+		w = levelWindow(e.Plan, child.Verts, level+1)
+	}
+	steps := e.sched[level]
+	for si := range steps {
+		st := &steps[si]
+		last := leaf && si == len(steps)-1
 		var result []uint32
-		id := e.newID()
-		switch g.op {
+		switch st.op {
 		case plan.OpInit:
 			result = nv
 			// Postponed anti-subtractions: peel each pending ancestor's
-			// neighbor list off N(v) (paper §2.1).
-			for pi, m := range g.pending {
+			// neighbor list off N(v) (paper §2.1). The IU executes each as
+			// a subtraction with the accumulating candidate as the short
+			// input and the ancestor's neighbor list as the long.
+			for pi, m := range st.pending {
 				anc := child.Verts[m]
 				ancN := e.G.Neighbors(anc)
 				e.fetch = append(e.fetch, anc)
-				// The accumulating candidate loses ancN's members; the IU
-				// executes this as a subtraction with the candidate as the
-				// short input and the ancestor's neighbor list as the long.
 				var out []uint32
-				if last && pi == len(g.pending)-1 {
-					count, counted = e.leafOpCount(child, plan.OpSubtract, result, ancN, anc), true
+				if last && pi == len(st.pending)-1 {
+					count, counted = e.leafCount(plan.OpSubtract, result, ancN, anc, child.Verts, w), true
 				} else {
 					out = e.subtractInto(child.claimBuf(), result, ancN, anc)
 					child.storeBuf(out)
@@ -312,25 +238,21 @@ func (e *Engine) extend(n *Node, v uint32, child *Node, leaf bool) (uint64, Task
 					Short:      result,
 					Long:       ancN,
 					LongVertex: anc,
-					Targets:    g.targets,
+					Targets:    st.targets,
 					Result:     out,
 				})
 				result = out
 			}
 		case plan.OpIntersect, plan.OpSubtract:
-			src := n.sets[g.targets[0]]
+			src := n.sets[st.src]
 			kind := setops.OpIntersect
-			if g.op == plan.OpSubtract {
+			if st.op == plan.OpSubtract {
 				kind = setops.OpSubtract
 			}
-			switch {
-			case last:
-				count, counted = e.leafOpCount(child, g.op, src, nv, v), true
-			case g.op == plan.OpSubtract:
-				result = e.subtractInto(child.claimBuf(), src, nv, v)
-				child.storeBuf(result)
-			default:
-				result = e.intersectInto(child.claimBuf(), src, nv, v)
+			if last {
+				count, counted = e.leafCount(st.op, src, nv, v, child.Verts, w), true
+			} else {
+				result = e.updateInto(st.op, child.claimBuf(), src, nv, v)
 				child.storeBuf(result)
 			}
 			e.ops = append(e.ops, SetOpExec{
@@ -338,130 +260,20 @@ func (e *Engine) extend(n *Node, v uint32, child *Node, leaf bool) (uint64, Task
 				Short:      src,
 				Long:       nv,
 				LongVertex: v,
-				Targets:    g.targets,
+				Targets:    st.targets,
 				Result:     result,
 			})
-		default:
-			panic(fmt.Sprintf("mine: unexpected op kind %v", g.op))
 		}
-		for _, t := range g.targets {
+		for _, t := range st.targets {
 			child.sets[t] = result
-			child.setID[t] = id
 		}
 	}
 	if leaf && !counted {
 		// No operation produced the final set (an inherited set, or a
 		// plain N(v) initialization): scan it as LeafCount does.
-		count = e.LeafCount(child)
+		count = countWindow(child.sets[level+1], child.Verts, w)
 	}
 	return count, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
-}
-
-// intersectInto computes src ∩ N(v) into dst with format-aware dispatch:
-// dense row, then compressed bitmap row, then the size-skew choice
-// between galloping and merge on the raw arrays.
-func (e *Engine) intersectInto(dst, src, nv []uint32, v uint32) []uint32 {
-	row, bm := e.adj.Rows(v)
-	switch {
-	case row != nil:
-		return setops.IntersectBitsInto(dst, src, row)
-	case bm != nil:
-		return setops.IntersectArrayBitmapInto(dst, src, bm)
-	case skewed(src, nv):
-		return setops.IntersectGallopingInto(dst, src, nv)
-	default:
-		return setops.IntersectInto(dst, src, nv)
-	}
-}
-
-// subtractInto computes src − N(v) into dst with format-aware dispatch.
-func (e *Engine) subtractInto(dst, src, nv []uint32, v uint32) []uint32 {
-	row, bm := e.adj.Rows(v)
-	switch {
-	case row != nil:
-		return setops.SubtractBitsInto(dst, src, row)
-	case bm != nil:
-		return setops.SubtractArrayBitmapInto(dst, src, bm)
-	case len(nv) >= setops.GallopSkewThreshold*len(src):
-		return setops.SubtractGallopingInto(dst, src, nv)
-	default:
-		return setops.SubtractInto(dst, src, nv)
-	}
-}
-
-// leafOpCount counts op(src, N(v)) for a leaf node: only the part of src
-// inside the final level's symmetry-breaking window is read, and the
-// node's own vertices are excluded, so the result equals LeafCount over
-// the materialized set.
-func (e *Engine) leafOpCount(leaf *Node, op plan.OpKind, src, nv []uint32, v uint32) uint64 {
-	a, b := e.window(leaf, src)
-	win := src[a:b]
-	if len(win) == 0 {
-		return 0
-	}
-	first, last := win[0], win[len(win)-1]
-	row, bm := e.adj.Rows(v)
-	var inter int
-	switch {
-	case row != nil:
-		inter = setops.IntersectCountBits(win, row)
-	case bm != nil:
-		inter = setops.IntersectArrayBitmapCount(win, bm)
-	default:
-		// Neighbors below the window cannot match: skip them.
-		long := nv[setops.LowerBound(nv, first):]
-		if skewed(win, long) {
-			inter = setops.IntersectCountGalloping(win, long)
-		} else {
-			inter = setops.IntersectCount(win, long)
-		}
-	}
-	keep := op == plan.OpIntersect
-	cnt := len(win) - inter
-	if keep {
-		cnt = inter
-	}
-	for _, u := range leaf.Verts {
-		if u >= first && u <= last && setops.Contains(win, u) && leafMember(nv, row, bm, u) == keep {
-			cnt--
-		}
-	}
-	return uint64(cnt)
-}
-
-// bounds computes the symmetry-breaking window (lo, hi) for selecting the
-// vertex at the given level: candidates must satisfy lo < v < hi.
-func (e *Engine) bounds(n *Node, level int) (lo, hi uint32, hasLo, hasHi bool) {
-	for _, r := range e.Plan.Levels[level].Restrictions {
-		bound := n.Verts[r.Earlier]
-		if r.Greater {
-			if !hasLo || bound > lo {
-				lo, hasLo = bound, true
-			}
-		} else {
-			if !hasHi || bound < hi {
-				hi, hasHi = bound, true
-			}
-		}
-	}
-	return
-}
-
-// window returns the index range [a, b) of n's candidate set for the next
-// level that survives the symmetry-breaking bounds.
-func (e *Engine) window(n *Node, set []uint32) (a, b int) {
-	lo, hi, hasLo, hasHi := e.bounds(n, n.Level+1)
-	a, b = 0, len(set)
-	if hasLo {
-		a = setops.UpperBound(set, lo)
-	}
-	if hasHi {
-		b = setops.LowerBound(set, hi)
-	}
-	if b < a {
-		b = a
-	}
-	return a, b
 }
 
 // Candidates returns the valid vertices for extending n at the next
@@ -471,7 +283,7 @@ func (e *Engine) window(n *Node, set []uint32) (a, b int) {
 // allocated on the rare path where chosen vertices intrude).
 func (e *Engine) Candidates(n *Node) []uint32 {
 	set := n.sets[n.Level+1]
-	a, b := e.window(n, set)
+	a, b := levelWindow(e.Plan, n.Verts, n.Level+1).span(set)
 	window := set[a:b]
 	// Chosen vertices rarely appear in the window; copy only if needed.
 	clean := true
@@ -499,28 +311,11 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 	if n.Level != e.Plan.K()-2 {
 		panic("mine: LeafCount on non-penultimate node")
 	}
-	set := n.sets[n.Level+1]
-	a, b := e.window(n, set)
-	count := b - a
-	for _, u := range n.Verts {
-		if setops.Contains(set[a:b], u) {
-			count--
-		}
-	}
-	return uint64(count)
+	return countWindow(n.sets[n.Level+1], n.Verts, levelWindow(e.Plan, n.Verts, n.Level+1))
 }
 
 // LeafSet returns the final-level candidate set below n with restrictions
 // and used vertices applied, for listing embeddings.
 func (e *Engine) LeafSet(n *Node) []uint32 {
 	return e.Candidates(n)
-}
-
-func containsVert(vs []uint32, v uint32) bool {
-	for _, u := range vs {
-		if u == v {
-			return true
-		}
-	}
-	return false
 }

@@ -6,22 +6,19 @@ import (
 	"fingers/internal/setops"
 )
 
-// Counter is the adaptive software miner: it walks the same search tree
-// as Engine but is built for CPU throughput rather than hardware-model
-// fidelity. Three things distinguish it (and are why Count/CountParallel
-// route through it):
+// Counter is the adaptive software miner: it runs the same per-level
+// schedule and kernel dispatch as Engine but is built for CPU throughput
+// rather than hardware-model fidelity, which is why Count/CountParallel
+// route through it:
 //
-//   - adaptive kernel dispatch: every set operation picks merge,
-//     galloping, dense-bitvector or compressed-bitmap probing per call,
-//     from the input size ratio and the neighbor-list side's storage tier
-//     in the graph's hybrid view (graph.HybridAdj);
 //   - zero steady-state allocation: candidate sets live in per-level
-//     scratch buffers that are reused across siblings and roots, so after
-//     buffer capacities warm up, mining a root allocates nothing;
-//   - leaf counting without materialization: when the last extending
-//     level performs a single intersect/subtract, the embedding count is
-//     computed directly from counting kernels over the symmetry-breaking
-//     window.
+//     scratch frames that are reused across siblings and roots, so after
+//     buffer capacities warm up, mining a root allocates nothing, and no
+//     per-task report is built;
+//   - leaf counting on stored rows: when the last extending level
+//     performs a single update of a slot that still aliases N(u), and
+//     both u and v keep dense or bitmap rows, the embedding count is a
+//     word-parallel popcount over the symmetry-breaking window.
 //
 // A Counter is not safe for concurrent use; create one per worker (it is
 // the "per-worker scratch arena" of the work-stealing scheduler).
@@ -31,12 +28,11 @@ type Counter struct {
 	g     *graph.Graph
 	pl    *plan.Plan
 	sched [][]step
-	adj   *graph.HybridAdj
 	k     int
+	kernels
 
 	verts  []uint32
 	frames []frame
-	stats  KernelStats
 }
 
 // frame is one level's scratch arena.
@@ -54,23 +50,6 @@ type frame struct {
 	alias []int64
 	// bufs[i] is step i's reusable result buffer; capacity only grows.
 	bufs [][]uint32
-}
-
-// KernelStats counts kernel-dispatch decisions, split between
-// materializing operations and leaf counting. BmProbe/CountBmProbe are
-// array×bitmap container probes; CountBmWord is the word-parallel
-// popcount leaf path over two stored rows.
-type KernelStats struct {
-	Merge, Gallop, Bits, BmProbe                     uint64
-	CountMerge, CountGallop, CountBits, CountBmProbe uint64
-	CountBmWord                                      uint64
-}
-
-// Total returns the number of dispatched operations.
-func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.BmProbe +
-		s.CountMerge + s.CountGallop + s.CountBits + s.CountBmProbe +
-		s.CountBmWord
 }
 
 // NewCounter returns a reusable adaptive miner for the plan on g, using
@@ -148,12 +127,12 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 			return c.leafCountUpdate(&steps[0], f, nv, v)
 		}
 		c.applySteps(f, steps, nv, v)
-		return c.leafCountSet(f.sets[c.k-1])
+		return countWindow(f.sets[c.k-1], c.verts[:c.k-1], levelWindow(c.pl, c.verts, c.k-1))
 	}
 
 	c.applySteps(f, steps, nv, v)
 	set := f.sets[level+1]
-	a, b := c.window(level+1, set)
+	a, b := levelWindow(c.pl, c.verts, level+1).span(set)
 	used := c.verts[:level+1]
 	var total uint64
 	for _, w := range set[a:b] {
@@ -178,11 +157,11 @@ func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
 				result = nv
 				aliasVert = int64(v)
 			} else {
-				buf := f.bufs[si][:0]
 				anc := c.verts[st.pending[0]]
-				buf = c.subtractNeighborsInto(buf, nv, anc)
+				buf := c.subtractInto(f.bufs[si][:0], nv, c.g.Neighbors(anc), anc)
 				for _, m := range st.pending[1:] {
-					buf = c.subtractNeighborsInPlace(buf, c.verts[m])
+					anc = c.verts[m]
+					buf = c.subtractInPlace(buf, c.g.Neighbors(anc), anc)
 				}
 				f.bufs[si] = buf
 				result = buf
@@ -200,159 +179,28 @@ func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
 	}
 }
 
-// updateInto computes op(src, N(v)) into dst with format-aware
-// dispatch: dense row, then compressed bitmap row, then the size-skew
-// choice between galloping and merge on the raw arrays.
-func (c *Counter) updateInto(op plan.OpKind, dst, src, nv []uint32, v uint32) []uint32 {
-	row, bm := c.adj.Rows(v)
-	if op == plan.OpIntersect {
-		switch {
-		case row != nil:
-			c.stats.Bits++
-			return setops.IntersectBitsInto(dst, src, row)
-		case bm != nil:
-			c.stats.BmProbe++
-			return setops.IntersectArrayBitmapInto(dst, src, bm)
-		case skewed(src, nv):
-			c.stats.Gallop++
-			return setops.IntersectGallopingInto(dst, src, nv)
-		default:
-			c.stats.Merge++
-			return setops.IntersectInto(dst, src, nv)
-		}
-	}
-	switch {
-	case row != nil:
-		c.stats.Bits++
-		return setops.SubtractBitsInto(dst, src, row)
-	case bm != nil:
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInto(dst, src, bm)
-	case len(nv) >= setops.GallopSkewThreshold*len(src):
-		c.stats.Gallop++
-		return setops.SubtractGallopingInto(dst, src, nv)
-	default:
-		c.stats.Merge++
-		return setops.SubtractInto(dst, src, nv)
-	}
-}
-
-// subtractNeighborsInto computes a − N(anc) into dst (the postponed
-// anti-subtraction of §2.1, candidate side first).
-func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
-	row, bm := c.adj.Rows(anc)
-	if row != nil {
-		c.stats.Bits++
-		return setops.SubtractBitsInto(dst, a, row)
-	}
-	if bm != nil {
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInto(dst, a, bm)
-	}
-	ancN := c.g.Neighbors(anc)
-	if len(ancN) >= setops.GallopSkewThreshold*len(a) {
-		c.stats.Gallop++
-	} else {
-		c.stats.Merge++
-	}
-	return setops.SubtractGallopingInto(dst, a, ancN)
-}
-
-// subtractNeighborsInPlace compacts a to a − N(anc) in place.
-func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
-	row, bm := c.adj.Rows(anc)
-	if row != nil {
-		c.stats.Bits++
-		return setops.SubtractBitsInPlace(a, row)
-	}
-	if bm != nil {
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInPlace(a, bm)
-	}
-	ancN := c.g.Neighbors(anc)
-	if len(ancN) >= setops.GallopSkewThreshold*len(a) {
-		c.stats.Gallop++
-	} else {
-		c.stats.Merge++
-	}
-	return setops.SubtractInPlace(a, ancN)
-}
-
-// skewed reports whether either input dwarfs the other enough for the
-// galloping kernels to engage.
-func skewed(a, b []uint32) bool {
-	return len(b) >= setops.GallopSkewThreshold*len(a) ||
-		len(a) >= setops.GallopSkewThreshold*len(b)
-}
-
 // leafCountUpdate counts op(src, N(v)) restricted to the final level's
 // symmetry-breaking window, excluding already-used vertices, without
 // materializing the result.
 func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uint64 {
-	src := f.sets[st.src]
+	w := levelWindow(c.pl, c.verts, c.k-1)
 	// Pure-popcount path: when the source slot still aliases N(u) and
 	// both u and v keep stored rows (dense or bitmap), the whole leaf
 	// count happens on container words — no array is even read.
 	if au := f.alias[st.src]; au >= 0 {
-		if cnt, ok := c.leafCountRows(st.op, uint32(au), v); ok {
+		if cnt, ok := c.leafCountRows(st.op, uint32(au), v, w); ok {
 			return cnt
 		}
 	}
-	a, b := c.window(c.k-1, src)
-	win := src[a:b]
-	row, bm := c.adj.Rows(v)
-	used := c.verts[:c.k-1]
-	var cnt int
-	if st.op == plan.OpIntersect {
-		switch {
-		case row != nil:
-			c.stats.CountBits++
-			cnt = setops.IntersectCountBits(win, row)
-		case bm != nil:
-			c.stats.CountBmProbe++
-			cnt = setops.IntersectArrayBitmapCount(win, bm)
-		case skewed(win, nv):
-			c.stats.CountGallop++
-			cnt = setops.IntersectCountGalloping(win, nv)
-		default:
-			c.stats.CountMerge++
-			cnt = setops.IntersectCount(win, nv)
-		}
-		for _, u := range used {
-			if setops.Contains(win, u) && leafMember(nv, row, bm, u) {
-				cnt--
-			}
-		}
-	} else {
-		switch {
-		case row != nil:
-			c.stats.CountBits++
-			cnt = len(win) - setops.IntersectCountBits(win, row)
-		case bm != nil:
-			c.stats.CountBmProbe++
-			cnt = len(win) - setops.IntersectArrayBitmapCount(win, bm)
-		case skewed(win, nv):
-			c.stats.CountGallop++
-			cnt = len(win) - setops.IntersectCountGalloping(win, nv)
-		default:
-			c.stats.CountMerge++
-			cnt = len(win) - setops.IntersectCount(win, nv)
-		}
-		for _, u := range used {
-			if setops.Contains(win, u) && !leafMember(nv, row, bm, u) {
-				cnt--
-			}
-		}
-	}
-	return uint64(cnt)
+	return c.leafCount(st.op, f.sets[st.src], nv, v, c.verts[:c.k-1], w)
 }
 
 // leafCountRows counts op(N(u), N(v)) within the leaf window entirely
 // on stored rows, returning ok=false when either vertex lacks one. The
 // set algebra is identical to the array path: the bounded kernels count
-// the same open interval the window() slicing selects, and the
+// the same open interval window.span selects, and the
 // used-vertex exclusion applies the same membership tests.
-func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
+func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32, w window) (uint64, bool) {
 	uDense, uBm := c.adj.Rows(u)
 	if uDense == nil && uBm == nil {
 		return 0, false
@@ -361,7 +209,7 @@ func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
 	if vDense == nil && vBm == nil {
 		return 0, false
 	}
-	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	lo, hi, hasLo, hasHi := w.lo, w.hi, w.hasLo, w.hasHi
 	var inter int
 	switch {
 	case uBm != nil && vBm != nil:
@@ -388,17 +236,17 @@ func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
 		}
 		cnt = total - inter
 	}
-	for _, w := range c.verts[:c.k-1] {
-		if hasLo && w <= lo {
+	for _, x := range c.verts[:c.k-1] {
+		if hasLo && x <= lo {
 			continue
 		}
-		if hasHi && w >= hi {
+		if hasHi && x >= hi {
 			continue
 		}
-		if !uBm.Contains(w) && !setops.BitsContain(uDense, w) {
+		if !uBm.Contains(x) && !setops.BitsContain(uDense, x) {
 			continue
 		}
-		inV := vBm.Contains(w) || setops.BitsContain(vDense, w)
+		inV := vBm.Contains(x) || setops.BitsContain(vDense, x)
 		if op == plan.OpIntersect {
 			if inV {
 				cnt--
@@ -408,64 +256,4 @@ func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
 		}
 	}
 	return uint64(cnt), true
-}
-
-// leafMember reports u ∈ N(v) through the stored row when available.
-func leafMember(nv []uint32, row []uint64, bm *setops.Bitmap, u uint32) bool {
-	if row != nil {
-		return setops.BitsContain(row, u)
-	}
-	if bm != nil {
-		return bm.Contains(u)
-	}
-	return setops.Contains(nv, u)
-}
-
-// leafCountSet counts a materialized final-level set within its window,
-// excluding used vertices (the generic leaf path).
-func (c *Counter) leafCountSet(set []uint32) uint64 {
-	a, b := c.window(c.k-1, set)
-	cnt := b - a
-	for _, u := range c.verts[:c.k-1] {
-		if setops.Contains(set[a:b], u) {
-			cnt--
-		}
-	}
-	return uint64(cnt)
-}
-
-// windowBounds resolves the symmetry-breaking restrictions of the given
-// level to the open interval (lo, hi): candidates must be strictly
-// greater than lo when hasLo and strictly less than hi when hasHi.
-func (c *Counter) windowBounds(level int) (lo, hi uint32, hasLo, hasHi bool) {
-	for _, r := range c.pl.Levels[level].Restrictions {
-		bound := c.verts[r.Earlier]
-		if r.Greater {
-			if !hasLo || bound > lo {
-				lo, hasLo = bound, true
-			}
-		} else {
-			if !hasHi || bound < hi {
-				hi, hasHi = bound, true
-			}
-		}
-	}
-	return lo, hi, hasLo, hasHi
-}
-
-// window returns the index range of set surviving the symmetry-breaking
-// restrictions of the given level, mirroring Engine.window.
-func (c *Counter) window(level int, set []uint32) (a, b int) {
-	lo, hi, hasLo, hasHi := c.windowBounds(level)
-	a, b = 0, len(set)
-	if hasLo {
-		a = setops.UpperBound(set, lo)
-	}
-	if hasHi {
-		b = setops.LowerBound(set, hi)
-	}
-	if b < a {
-		b = a
-	}
-	return a, b
 }

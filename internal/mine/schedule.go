@@ -2,13 +2,14 @@ package mine
 
 import (
 	"fmt"
+	"slices"
 
 	"fingers/internal/plan"
 )
 
-// step is one grouped set operation of a level's schedule: the same
-// common-subexpression sharing Engine.extend performs dynamically
-// (identical updates compute once, paper §3.3), resolved ahead of time.
+// step is one grouped set operation of a level's schedule: identical
+// updates compute once (the common-subexpression sharing of paper §3.3),
+// resolved ahead of time so neither walker groups actions per task.
 type step struct {
 	// op is plan.OpInit, plan.OpIntersect or plan.OpSubtract.
 	op plan.OpKind
@@ -22,77 +23,56 @@ type step struct {
 	targets []int
 }
 
-// buildSchedule resolves the per-level operation groups statically. The
-// grouping Engine.extend computes per node depends only on the identity
-// structure of the candidate slots — which operation produced each slot's
-// set — and that structure evolves identically down every root-to-leaf
-// path (levels are always visited 0, 1, 2, …). Simulating the set-ID
-// propagation symbolically once therefore yields the exact groups the
-// engine would form at every node, letting the hot loop skip the
-// per-task grouping work entirely.
+// buildSchedule resolves the per-level operation groups statically.
+// Grouping depends only on the identity structure of the candidate slots
+// — which operation produced each slot's set — and that structure
+// evolves identically down every root-to-leaf path (levels are always
+// visited 0, 1, 2, …). Propagating set IDs symbolically once therefore
+// yields the exact groups a per-node grouping would form at every node:
+// initializations keyed by their pending-ancestor list, updates keyed by
+// (source set identity, op kind).
 func buildSchedule(pl *plan.Plan) [][]step {
 	k := pl.K()
-	setID := make([]int32, k)
+	// producer[j] identifies the operation that wrote slot j's set; 0 is
+	// the empty initial set.
+	producer := make([]int32, k)
 	var nextID int32
 	out := make([][]step, k-1)
 	for level := 0; level < k-1; level++ {
-		type group struct {
-			op      plan.OpKind
-			pending []int
-			srcID   int32
-			targets []int
-		}
-		var groups []group
-		findInit := func(pending []int) *group {
-			for i := range groups {
-				g := &groups[i]
-				if g.op != plan.OpInit || len(g.pending) != len(pending) {
+		var steps []step
+		var srcIDs []int32 // srcIDs[i] is steps[i]'s source set for updates
+		group := func(act plan.Action) *step {
+			for i := range steps {
+				st := &steps[i]
+				if st.op != act.Op {
 					continue
 				}
-				same := true
-				for x := range pending {
-					if g.pending[x] != pending[x] {
-						same = false
-						break
-					}
-				}
-				if same {
-					return g
+				if act.Op == plan.OpInit && slices.Equal(st.pending, act.Pending) ||
+					act.Op != plan.OpInit && srcIDs[i] == producer[act.Target] {
+					return st
 				}
 			}
-			groups = append(groups, group{op: plan.OpInit, pending: pending})
-			return &groups[len(groups)-1]
-		}
-		findUpdate := func(op plan.OpKind, srcID int32) *group {
-			for i := range groups {
-				g := &groups[i]
-				if g.op == op && g.op != plan.OpInit && g.srcID == srcID {
-					return g
-				}
+			st := step{op: act.Op, pending: act.Pending}
+			if act.Op != plan.OpInit {
+				st.src = act.Target
 			}
-			groups = append(groups, group{op: op, srcID: srcID})
-			return &groups[len(groups)-1]
+			steps = append(steps, st)
+			srcIDs = append(srcIDs, producer[act.Target])
+			return &steps[len(steps)-1]
 		}
 		for _, act := range pl.Levels[level].Actions {
-			var g *group
 			switch act.Op {
-			case plan.OpInit:
-				g = findInit(act.Pending)
-			case plan.OpIntersect, plan.OpSubtract:
-				g = findUpdate(act.Op, setID[act.Target])
+			case plan.OpInit, plan.OpIntersect, plan.OpSubtract:
+				st := group(act)
+				st.targets = append(st.targets, act.Target)
 			default:
 				panic(fmt.Sprintf("mine: unexpected op kind %v in schedule", act.Op))
 			}
-			g.targets = append(g.targets, act.Target)
 		}
 		seen := make(map[int]bool, k)
-		for _, g := range groups {
+		for _, st := range steps {
 			nextID++
-			st := step{op: g.op, pending: g.pending, targets: g.targets}
-			if g.op != plan.OpInit {
-				st.src = g.targets[0]
-			}
-			for _, t := range g.targets {
+			for _, t := range st.targets {
 				// The counter reads update sources from the current frame
 				// after copying the parent's slots, which is only the
 				// parent's value while each slot is written at most once
@@ -101,10 +81,10 @@ func buildSchedule(pl *plan.Plan) [][]step {
 					panic(fmt.Sprintf("mine: slot %d written twice at level %d", t, level))
 				}
 				seen[t] = true
-				setID[t] = nextID
+				producer[t] = nextID
 			}
-			out[level] = append(out[level], st)
 		}
+		out[level] = steps
 	}
 	return out
 }

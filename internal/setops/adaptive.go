@@ -1,26 +1,62 @@
 package setops
 
-// Adaptive-dispatch kernels for the software miner's hot path. The three
-// families trade the same work differently:
+// Adaptive-dispatch kernels for the miners' hot path. The merge kernels
+// in setops.go stream both inputs at one element per cycle — exactly what
+// the IU hardware does — but software is free to exploit size skew and
+// stored rows. The three families trade the same work differently:
 //
 //   - merge (setops.go): one pass over both inputs, O(|a|+|b|). The
 //     baseline, and the best choice when the inputs are of similar size.
-//   - galloping (gallop.go and the *Into variants here): exponential
-//     probes through the larger input, O(|small| · log |large|). Wins when
-//     one side is ≥ gallopSkewThreshold× the other.
-//   - bits (this file): probes a precomputed dense membership bitset —
-//     one word load per element of the list input, O(|list|), independent
-//     of the bitset owner's degree. Wins whenever a bitset exists, i.e.
-//     for hub vertices (graph.HubIndex) whose neighbor lists are long
-//     enough that n/8 bytes of bitset pay for themselves.
+//   - galloping: exponential probes through the larger input,
+//     O(|small| · log |large|). Wins when one side is ≥
+//     GallopSkewThreshold× the other.
+//   - bits: probes a precomputed dense membership bitset — one word load
+//     per element of the list input, O(|list|), independent of the
+//     bitset owner's degree. Wins whenever a bitset exists, i.e. for the
+//     hub vertices of graph.HybridAdj's dense tier, whose neighbor lists
+//     are long enough that n/8 bytes of bitset pay for themselves.
 //
 // All Into/InPlace variants follow the package's aliasing contract: Into
 // appends to a caller-owned dst that must not alias either input; InPlace
 // rewrites its first argument's prefix (output length ≤ input length, so
 // the compaction is safe) and returns the shortened slice.
 
-// IntersectGallopingInto appends a ∩ b to dst with the skew-adaptive
-// kernel of IntersectGalloping and returns the extended slice.
+// GallopSkewThreshold is the size ratio beyond which galloping beats the
+// linear merge (a conventional cutoff; the exact value is not critical).
+// It is exported so adaptive dispatchers above this package can predict
+// which kernel the *Galloping entry points will select.
+const GallopSkewThreshold = 16
+
+// gallopSearch returns the first index i ≥ lo with s[i] >= v, probing
+// exponentially from lo before binary-searching the bracketed range.
+func gallopSearch(s []uint32, lo int, v uint32) int {
+	if lo >= len(s) || s[lo] >= v {
+		return lo
+	}
+	step := 1
+	hi := lo + 1
+	for hi < len(s) && s[hi] < v {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// IntersectGallopingInto appends a ∩ b to dst, galloping through the
+// larger input when the size skew warrants it and falling back to the
+// linear merge otherwise, and returns the extended slice.
 func IntersectGallopingInto(dst, a, b []uint32) []uint32 {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -28,7 +64,7 @@ func IntersectGallopingInto(dst, a, b []uint32) []uint32 {
 	if len(a) == 0 {
 		return dst
 	}
-	if len(b) < gallopSkewThreshold*len(a) {
+	if len(b) < GallopSkewThreshold*len(a) {
 		return IntersectInto(dst, a, b)
 	}
 	j := 0
@@ -51,7 +87,7 @@ func SubtractGallopingInto(dst, a, b []uint32) []uint32 {
 	if len(a) == 0 {
 		return dst
 	}
-	if len(b) < gallopSkewThreshold*len(a) {
+	if len(b) < GallopSkewThreshold*len(a) {
 		return SubtractInto(dst, a, b)
 	}
 	j := 0
@@ -75,7 +111,7 @@ func IntersectCountGalloping(a, b []uint32) int {
 	if len(a) == 0 {
 		return 0
 	}
-	if len(b) < gallopSkewThreshold*len(a) {
+	if len(b) < GallopSkewThreshold*len(a) {
 		return IntersectCount(a, b)
 	}
 	j, n := 0, 0
@@ -100,7 +136,7 @@ func SubtractInPlace(a, b []uint32) []uint32 {
 		return a
 	}
 	w, j := 0, 0
-	gallop := len(b) >= gallopSkewThreshold*len(a)
+	gallop := len(b) >= GallopSkewThreshold*len(a)
 	for _, v := range a {
 		if gallop {
 			j = gallopSearch(b, j, v)

@@ -1,6 +1,7 @@
 package setops
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -105,4 +106,93 @@ func TestGallopingIntoSkewedForced(t *testing.T) {
 	if !eq(SubtractInPlace(scratch, big), Subtract(small, big)) {
 		t.Error("forced-gallop in-place subtract diverges")
 	}
+}
+
+func TestGallopSearch(t *testing.T) {
+	s := []uint32{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+	cases := []struct {
+		lo   int
+		v    uint32
+		want int
+	}{
+		{0, 1, 0},
+		{0, 2, 0},
+		{0, 3, 1},
+		{0, 20, 9},
+		{0, 21, 10},
+		{5, 12, 5},
+		{5, 100, 10},
+	}
+	for _, c := range cases {
+		if got := gallopSearch(s, c.lo, c.v); got != c.want {
+			t.Errorf("gallopSearch(lo=%d, v=%d) = %d, want %d", c.lo, c.v, got, c.want)
+		}
+	}
+}
+
+// TestGallopingMatchesMerge forces the galloping path with a long
+// arithmetic progression against a short random set inside its range.
+func TestGallopingMatchesMerge(t *testing.T) {
+	f := func(av []uint32, stride uint8) bool {
+		step := uint32(stride%7) + 1
+		big := make([]uint32, GallopSkewThreshold*(len(av)+1))
+		for i := range big {
+			big[i] = uint32(i) * step
+		}
+		small := mksetMod(av, uint32(len(big))*step)
+		if !eq(IntersectGallopingInto(nil, small, big), Intersect(small, big)) ||
+			!eq(IntersectGallopingInto(nil, big, small), Intersect(small, big)) ||
+			!eq(SubtractGallopingInto(nil, small, big), Subtract(small, big)) {
+			return false
+		}
+		if IntersectCountGalloping(small, big) != IntersectCount(small, big) {
+			return false
+		}
+		scratch := append([]uint32(nil), small...)
+		return eq(SubtractInPlace(scratch, big), Subtract(small, big))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestGallopingSkewedInputs(t *testing.T) {
+	// Force the galloping path: a tiny random set against a huge one.
+	rng := rand.New(rand.NewSource(5))
+	big := make([]uint32, 10000)
+	for i := range big {
+		big[i] = uint32(i * 3)
+	}
+	for trial := 0; trial < 20; trial++ {
+		small := randomSet(rng, 20, 30000)
+		if !eq(IntersectGallopingInto(nil, small, big), Intersect(small, big)) {
+			t.Fatal("galloping intersect diverges on skewed inputs")
+		}
+		if !eq(SubtractGallopingInto(nil, small, big), Subtract(small, big)) {
+			t.Fatal("galloping subtract diverges on skewed inputs")
+		}
+		// Argument order must not matter for intersection.
+		if got, want := IntersectCountGalloping(big, small), IntersectCount(small, big); got != want {
+			t.Fatalf("galloping count (swapped) = %d, want %d", got, want)
+		}
+	}
+}
+
+func BenchmarkIntersectGallopingSkewed(b *testing.B) {
+	big := make([]uint32, 100000)
+	for i := range big {
+		big[i] = uint32(i * 2)
+	}
+	small := []uint32{5, 1001, 20002, 40005, 80000, 160001, 199998}
+	dst := make([]uint32, 0, len(small))
+	b.Run("gallop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = IntersectGallopingInto(dst[:0], small, big)
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = IntersectInto(dst[:0], small, big)
+		}
+	})
 }

@@ -1,27 +1,20 @@
 package setops
 
-// SISA-style hybrid set storage (ROADMAP "hybrid set representations";
-// PAPERS.md, SISA). The merge/gallop/bits kernels above dispatch per
-// *call*; this file makes the *storage* adaptive per set: each set is
-// kept either as the package's native sorted []uint32 or as a
-// roaring-like compressed bitmap — 64-bit word containers keyed by the
-// value's high bits, with only the nonzero containers stored — chosen
-// by a density heuristic (ChooseFormat). The full operand-format kernel
-// matrix lives here too: intersect / subtract / union with Into and
-// Count variants for every pairing of the two formats. Array×array
-// delegates to the existing merge/gallop kernels, array×bitmap probes
-// containers while galloping through the key list, and bitmap×bitmap
-// is word-parallel AND / ANDNOT / OR with popcount counting.
+// SISA-style hybrid set storage (PAPERS.md, SISA). The merge, gallop
+// and bits kernels in adaptive.go dispatch per *call*; this file makes
+// the *storage* adaptive per set: a neighbor list is kept either as the
+// package's native sorted []uint32 or as a roaring-like compressed
+// bitmap — 64-bit word containers keyed by the value's high bits, with
+// only the nonzero containers stored — chosen by a density heuristic
+// (ChooseFormat). The kernels here are the ones the miners dispatch to:
+// intersect and subtract of an array against a bitmap (container probes
+// that gallop through the key list), and the bounded popcount kernels of
+// the software miner's leaf fast path, which count |a ∩ b| or |a|
+// restricted to an open interval (lo, hi) — the symmetry-breaking
+// window — without decoding, via partial-word masks at the boundary
+// containers.
 //
-// The bounded-count kernels at the bottom serve the software miner's
-// leaf fast path: counting |a ∩ b| or |a − b| restricted to an open
-// interval (lo, hi) — the symmetry-breaking window — without decoding,
-// via partial-word masks at the boundary containers.
-//
-// Aliasing contract: identical to the rest of the package. *Into
-// variants append decoded sorted values to a caller-owned dst that must
-// not alias any input; functions returning a *Bitmap allocate fresh
-// container storage.
+// Aliasing contract: identical to the rest of the package.
 
 import "math/bits"
 
@@ -83,17 +76,7 @@ type Bitmap struct {
 
 // NewBitmapFromSorted builds a bitmap from a strictly increasing slice.
 func NewBitmapFromSorted(s []uint32) *Bitmap {
-	b := &Bitmap{}
-	b.SetSorted(s)
-	return b
-}
-
-// SetSorted replaces b's contents with the strictly increasing slice s,
-// reusing b's container storage when capacity allows.
-func (b *Bitmap) SetSorted(s []uint32) {
-	b.keys = b.keys[:0]
-	b.words = b.words[:0]
-	b.card = len(s)
+	b := &Bitmap{card: len(s)}
 	for i := 0; i < len(s); {
 		key := s[i] >> 6
 		var w uint64
@@ -104,6 +87,7 @@ func (b *Bitmap) SetSorted(s []uint32) {
 		b.keys = append(b.keys, key)
 		b.words = append(b.words, w)
 	}
+	return b
 }
 
 // Card returns the cardinality.
@@ -112,14 +96,6 @@ func (b *Bitmap) Card() int {
 		return 0
 	}
 	return b.card
-}
-
-// Containers returns the number of stored (nonzero) containers.
-func (b *Bitmap) Containers() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.keys)
 }
 
 // Bytes returns the in-memory footprint of the container storage.
@@ -237,11 +213,6 @@ func SubtractArrayBitmapInto(dst, a []uint32, b *Bitmap) []uint32 {
 	return dst
 }
 
-// SubtractArrayBitmapCount returns |a − b| without materializing.
-func SubtractArrayBitmapCount(a []uint32, b *Bitmap) int {
-	return len(a) - IntersectArrayBitmapCount(a, b)
-}
-
 // SubtractArrayBitmapInPlace compacts a to a − b in place and returns
 // the shortened slice, following the package's *InPlace contract.
 func SubtractArrayBitmapInPlace(a []uint32, b *Bitmap) []uint32 {
@@ -263,137 +234,8 @@ func SubtractArrayBitmapInPlace(a []uint32, b *Bitmap) []uint32 {
 	return a[:w]
 }
 
-// SubtractBitmapArrayInto appends b − a to dst (the anti-subtraction
-// orientation N−S when N is stored as a bitmap): decode b's containers
-// in order, clearing the bits named by a first so the decode loop does
-// the subtraction for free.
-func SubtractBitmapArrayInto(dst []uint32, b *Bitmap, a []uint32) []uint32 {
-	if b == nil {
-		return dst
-	}
-	i := 0
-	for k, key := range b.keys {
-		w := b.words[k]
-		// Clear every bit of this container that a names.
-		for i < len(a) && a[i]>>6 < key {
-			i++
-		}
-		for i < len(a) && a[i]>>6 == key {
-			w &^= 1 << (a[i] & 63)
-			i++
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// SubtractBitmapArrayCount returns |b − a| without materializing.
-func SubtractBitmapArrayCount(b *Bitmap, a []uint32) int {
-	return b.Card() - IntersectArrayBitmapCount(a, b)
-}
-
-// ---------------------------------------------------------------------
-// bitmap × bitmap word-parallel kernels
-//
-// All walk the two sorted key lists in one merge pass and combine the
-// paired words with AND / ANDNOT / OR; counting replaces the decode
-// with popcount.
-
-// AndBitmaps returns a ∩ b as a fresh bitmap.
-func AndBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil || b == nil {
-		return out
-	}
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			if w := a.words[i] & b.words[j]; w != 0 {
-				out.keys = append(out.keys, a.keys[i])
-				out.words = append(out.words, w)
-				out.card += bits.OnesCount64(w)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// AndNotBitmaps returns a − b as a fresh bitmap.
-func AndNotBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil {
-		return out
-	}
-	j := 0
-	for i, key := range a.keys {
-		w := a.words[i]
-		if b != nil {
-			for j < len(b.keys) && b.keys[j] < key {
-				j++
-			}
-			if j < len(b.keys) && b.keys[j] == key {
-				w &^= b.words[j]
-			}
-		}
-		if w != 0 {
-			out.keys = append(out.keys, key)
-			out.words = append(out.words, w)
-			out.card += bits.OnesCount64(w)
-		}
-	}
-	return out
-}
-
-// OrBitmaps returns a ∪ b as a fresh bitmap.
-func OrBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil {
-		a = out
-	}
-	if b == nil {
-		b = out
-	}
-	i, j := 0, 0
-	push := func(key uint32, w uint64) {
-		out.keys = append(out.keys, key)
-		out.words = append(out.words, w)
-		out.card += bits.OnesCount64(w)
-	}
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			push(a.keys[i], a.words[i])
-			i++
-		case a.keys[i] > b.keys[j]:
-			push(b.keys[j], b.words[j])
-			j++
-		default:
-			push(a.keys[i], a.words[i]|b.words[j])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.keys); i++ {
-		push(a.keys[i], a.words[i])
-	}
-	for ; j < len(b.keys); j++ {
-		push(b.keys[j], b.words[j])
-	}
-	return out
-}
-
-// IntersectBitmapsCount returns |a ∩ b| by popcounting paired words.
+// IntersectBitmapsCount returns |a ∩ b| by walking the two key lists in
+// one merge pass and popcounting the paired words.
 func IntersectBitmapsCount(a, b *Bitmap) int {
 	if a == nil || b == nil {
 		return 0
@@ -412,105 +254,6 @@ func IntersectBitmapsCount(a, b *Bitmap) int {
 		}
 	}
 	return n
-}
-
-// SubtractBitmapsCount returns |a − b|.
-func SubtractBitmapsCount(a, b *Bitmap) int {
-	return a.Card() - IntersectBitmapsCount(a, b)
-}
-
-// UnionBitmapsCount returns |a ∪ b|.
-func UnionBitmapsCount(a, b *Bitmap) int {
-	return a.Card() + b.Card() - IntersectBitmapsCount(a, b)
-}
-
-// IntersectBitmapsInto appends a ∩ b to dst as decoded sorted values.
-func IntersectBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	if a == nil || b == nil {
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			w := a.words[i] & b.words[j]
-			base := a.keys[i] << 6
-			for w != 0 {
-				dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// SubtractBitmapsInto appends a − b to dst as decoded sorted values.
-func SubtractBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	if a == nil {
-		return dst
-	}
-	j := 0
-	for i, key := range a.keys {
-		w := a.words[i]
-		if b != nil {
-			for j < len(b.keys) && b.keys[j] < key {
-				j++
-			}
-			if j < len(b.keys) && b.keys[j] == key {
-				w &^= b.words[j]
-			}
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// UnionBitmapsInto appends a ∪ b to dst as decoded sorted values.
-func UnionBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	return OrBitmaps(a, b).AppendTo(dst)
-}
-
-// UnionArrayBitmapInto appends a ∪ b to dst as decoded sorted values,
-// merging the array against the bitmap's container decode in one pass.
-func UnionArrayBitmapInto(dst, a []uint32, b *Bitmap) []uint32 {
-	if b == nil || len(b.keys) == 0 {
-		return append(dst, a...)
-	}
-	i := 0
-	for k, key := range b.keys {
-		w := b.words[k]
-		// Fold this container's slice of a into the word, then emit all
-		// earlier array elements before decoding.
-		for i < len(a) && a[i]>>6 < key {
-			dst = append(dst, a[i])
-			i++
-		}
-		for i < len(a) && a[i]>>6 == key {
-			w |= 1 << (a[i] & 63)
-			i++
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
-// UnionArrayBitmapCount returns |a ∪ b|.
-func UnionArrayBitmapCount(a []uint32, b *Bitmap) int {
-	return len(a) + b.Card() - IntersectArrayBitmapCount(a, b)
 }
 
 // ---------------------------------------------------------------------

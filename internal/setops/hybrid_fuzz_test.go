@@ -19,18 +19,18 @@ func decodeFuzzSet(data []byte, scale byte) []uint32 {
 	return out
 }
 
-// FuzzHybridSetOps differentially checks every operand-format-pair
-// kernel of the hybrid matrix — intersect/subtract/union, Into and
-// Count, plus the bounded popcount kernels — against the merge-kernel
-// oracle. The two scale bytes steer density: 0 packs values into runs
-// (bitmap territory), 15 spreads them across the whole uint32 universe.
+// FuzzHybridSetOps differentially checks every kernel the miners
+// dispatch to — merge, galloping, array×bitmap probes, dense-bitset
+// probes and the bounded popcount kernels — against the merge oracle.
+// The two scale bytes steer density: 0 packs values into runs (bitmap
+// territory), 15 spreads them across the whole uint32 universe.
 func FuzzHybridSetOps(f *testing.F) {
-	f.Add([]byte{}, []byte{}, byte(0), byte(0))                            // empty × empty
-	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                          // singleton overlap
+	f.Add([]byte{}, []byte{}, byte(0), byte(0))                                 // empty × empty
+	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                               // singleton overlap
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0}, byte(0), byte(0)) // dense runs
-	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))    // clustered × sparse
-	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))       // full-universe spread
-	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))          // container boundaries
+	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))         // clustered × sparse
+	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))            // full-universe spread
+	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))               // container boundaries
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, scaleA, scaleB byte) {
 		if len(rawA) > 512 || len(rawB) > 512 {
 			return
@@ -38,29 +38,7 @@ func FuzzHybridSetOps(f *testing.F) {
 		a := decodeFuzzSet(rawA, scaleA)
 		b := decodeFuzzSet(rawB, scaleB)
 		checkHybridPair(t, a, b)
-
-		// Bounded kernels against the brute-force window filter, using
-		// elements of the inputs as window edges so boundaries are hit.
-		lo, hi := uint32(0), uint32(1<<32-1)
-		if len(a) > 0 {
-			lo = a[len(a)/2]
-		}
-		if len(b) > 0 {
-			hi = b[len(b)/2]
-		}
-		ba, bb := NewBitmapFromSorted(a), NewBitmapFromSorted(b)
-		for _, w := range []struct{ hasLo, hasHi bool }{
-			{false, false}, {true, false}, {false, true}, {true, true},
-		} {
-			wantA := len(bruteBounded(a, lo, hi, w.hasLo, w.hasHi))
-			wantAB := len(bruteBounded(Intersect(a, b), lo, hi, w.hasLo, w.hasHi))
-			if got := ba.CountBounded(lo, hi, w.hasLo, w.hasHi); got != wantA {
-				t.Fatalf("CountBounded(%v, lo=%d hi=%d %+v) = %d, want %d", a, lo, hi, w, got, wantA)
-			}
-			if got := IntersectBitmapsCountBounded(ba, bb, lo, hi, w.hasLo, w.hasHi); got != wantAB {
-				t.Fatalf("IntersectBitmapsCountBounded(%v, %v, lo=%d hi=%d %+v) = %d, want %d",
-					a, b, lo, hi, w, got, wantAB)
-			}
-		}
+		lo, hi := windowEdges(a, b)
+		checkBoundedPair(t, a, b, lo, hi)
 	})
 }

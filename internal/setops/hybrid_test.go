@@ -44,13 +44,13 @@ func TestChooseFormat(t *testing.T) {
 		want Format
 	}{
 		{0, 0, FormatArray},
-		{1, 1, FormatArray},          // 4 bytes < 12
-		{3, 1, FormatBitmap},         // 12 >= 12·1
-		{64, 64, FormatBitmap},       // full container
-		{10, 1 << 20, FormatArray},   // sparse spread
-		{1000, 1100, FormatBitmap},   // dense run
-		{100, 6400, FormatArray},     // one per container: 400 < 12·101
-		{400, 6400, FormatBitmap},    // four per container
+		{1, 1, FormatArray},        // 4 bytes < 12
+		{3, 1, FormatBitmap},       // 12 >= 12·1
+		{64, 64, FormatBitmap},     // full container
+		{10, 1 << 20, FormatArray}, // sparse spread
+		{1000, 1100, FormatBitmap}, // dense run
+		{100, 6400, FormatArray},   // one per container: 400 < 12·101
+		{400, 6400, FormatBitmap},  // four per container
 	}
 	for _, c := range cases {
 		if got := ChooseFormat(c.card, c.span); got != c.want {
@@ -80,57 +80,150 @@ func TestBitmapRoundTrip(t *testing.T) {
 		if len(s) > 0 && b.Contains(s[0]+1) != Contains(s, s[0]+1) {
 			t.Errorf("set %d: Contains(%d) disagrees with array", i, s[0]+1)
 		}
-		if b.Bytes() != int64(12*b.Containers()) {
-			t.Errorf("set %d: Bytes = %d, want %d", i, b.Bytes(), 12*b.Containers())
+		containers := map[uint32]bool{}
+		for _, v := range s {
+			containers[v>>6] = true
+		}
+		if b.Bytes() != int64(12*len(containers)) {
+			t.Errorf("set %d: Bytes = %d, want %d", i, b.Bytes(), 12*len(containers))
 		}
 	}
 }
 
-// checkHybridPair runs the full kernel matrix on one (a, b) pair under
-// every operand-format combination and compares against the merge
-// oracles.
+// maxBitsUniverse caps the dense bitsets the kernel checks build: the
+// bits kernels need a row covering every probed value, so pairs holding
+// larger values skip them.
+const maxBitsUniverse = 1 << 20
+
+// denseBits returns s as a full-universe bitset over [0, universe).
+func denseBits(s []uint32, universe uint32) []uint64 {
+	w := make([]uint64, (universe+63)/64)
+	for _, v := range s {
+		w[v>>6] |= 1 << (v & 63)
+	}
+	return w
+}
+
+// universeOf returns one more than the largest value of a and b, or
+// false when that exceeds maxBitsUniverse.
+func universeOf(a, b []uint32) (uint32, bool) {
+	var top uint32
+	for _, s := range [][]uint32{a, b} {
+		if len(s) > 0 && s[len(s)-1] > top {
+			top = s[len(s)-1]
+		}
+	}
+	return top + 1, top < maxBitsUniverse
+}
+
+// checkHybridPair runs every kernel the miners dispatch to on (a, b) —
+// b in each storage form the hybrid view keeps (array, compressed
+// bitmap, dense bitset) — and compares against the merge oracles.
 func checkHybridPair(t *testing.T, a, b []uint32) {
 	t.Helper()
 	wantI := Intersect(a, b)
 	wantS := Subtract(a, b)
-	wantU := Union(a, b)
-	forms := []struct {
-		name string
-		wrap func([]uint32) HybridSet
-	}{
-		{"array", func(s []uint32) HybridSet { return ArraySet(s) }},
-		{"bitmap", func(s []uint32) HybridSet { return BitmapSet(NewBitmapFromSorted(s)) }},
+	check := func(name string, got []uint32, want []uint32) {
+		t.Helper()
+		if !equalSets(got, want) {
+			t.Errorf("%s(%v, %v) = %v, want %v", name, a, b, got, want)
+		}
 	}
-	for _, fa := range forms {
-		for _, fb := range forms {
-			ha, hb := fa.wrap(a), fb.wrap(b)
-			label := fa.name + "×" + fb.name
-			if got := IntersectHybridInto(nil, ha, hb); !equalSets(got, wantI) {
-				t.Errorf("%s IntersectHybridInto(%v, %v) = %v, want %v", label, a, b, got, wantI)
-			}
-			if got := IntersectHybridCount(ha, hb); got != len(wantI) {
-				t.Errorf("%s IntersectHybridCount(%v, %v) = %d, want %d", label, a, b, got, len(wantI))
-			}
-			if got := SubtractHybridInto(nil, ha, hb); !equalSets(got, wantS) {
-				t.Errorf("%s SubtractHybridInto(%v, %v) = %v, want %v", label, a, b, got, wantS)
-			}
-			if got := SubtractHybridCount(ha, hb); got != len(wantS) {
-				t.Errorf("%s SubtractHybridCount(%v, %v) = %d, want %d", label, a, b, got, len(wantS))
-			}
-			if got := UnionHybridInto(nil, ha, hb); !equalSets(got, wantU) {
-				t.Errorf("%s UnionHybridInto(%v, %v) = %v, want %v", label, a, b, got, wantU)
-			}
-			if got := UnionHybridCount(ha, hb); got != len(wantU) {
-				t.Errorf("%s UnionHybridCount(%v, %v) = %d, want %d", label, a, b, got, len(wantU))
-			}
-			for _, op := range []Op{OpIntersect, OpSubtract, OpAntiSubtract} {
-				want := Apply(op, a, b)
-				if got := ApplyHybridInto(op, nil, ha, hb); !equalSets(got, want) {
-					t.Errorf("%s ApplyHybridInto(%v, %v, %v) = %v, want %v", label, op, a, b, got, want)
-				}
+	checkCount := func(name string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s(%v, %v) = %d, want %d", name, a, b, got, want)
+		}
+	}
+	inPlace := func(f func([]uint32) []uint32) []uint32 {
+		return f(append([]uint32(nil), a...))
+	}
+
+	// array × array: merge and galloping.
+	check("IntersectInto", IntersectInto(nil, a, b), wantI)
+	check("SubtractInto", SubtractInto(nil, a, b), wantS)
+	checkCount("IntersectCount", IntersectCount(a, b), len(wantI))
+	check("IntersectGallopingInto", IntersectGallopingInto(nil, a, b), wantI)
+	check("IntersectGallopingInto(swapped)", IntersectGallopingInto(nil, b, a), wantI)
+	check("SubtractGallopingInto", SubtractGallopingInto(nil, a, b), wantS)
+	checkCount("IntersectCountGalloping", IntersectCountGalloping(a, b), len(wantI))
+	check("SubtractInPlace", inPlace(func(s []uint32) []uint32 { return SubtractInPlace(s, b) }), wantS)
+	for _, op := range []Op{OpIntersect, OpSubtract, OpAntiSubtract} {
+		check("ApplyInto/"+op.String(), ApplyInto(op, nil, a, b), Apply(op, a, b))
+	}
+
+	// array × bitmap: container probes.
+	bm := NewBitmapFromSorted(b)
+	check("IntersectArrayBitmapInto", IntersectArrayBitmapInto(nil, a, bm), wantI)
+	check("SubtractArrayBitmapInto", SubtractArrayBitmapInto(nil, a, bm), wantS)
+	checkCount("IntersectArrayBitmapCount", IntersectArrayBitmapCount(a, bm), len(wantI))
+	check("SubtractArrayBitmapInPlace", inPlace(func(s []uint32) []uint32 { return SubtractArrayBitmapInPlace(s, bm) }), wantS)
+	checkCount("IntersectBitmapsCount", IntersectBitmapsCount(NewBitmapFromSorted(a), bm), len(wantI))
+
+	// array × dense bitset: one word probe per element.
+	universe, ok := universeOf(a, b)
+	if !ok {
+		return
+	}
+	bits := denseBits(b, universe)
+	check("IntersectBitsInto", IntersectBitsInto(nil, a, bits), wantI)
+	check("SubtractBitsInto", SubtractBitsInto(nil, a, bits), wantS)
+	checkCount("IntersectCountBits", IntersectCountBits(a, bits), len(wantI))
+	check("SubtractBitsInPlace", inPlace(func(s []uint32) []uint32 { return SubtractBitsInPlace(s, bits) }), wantS)
+	for _, v := range a {
+		if got, want := BitsContain(bits, v), Contains(b, v); got != want {
+			t.Errorf("BitsContain(%v, %d) = %v, want %v", b, v, got, want)
+		}
+	}
+}
+
+// checkBoundedPair runs the bounded popcount kernels on (a, b) under
+// every combination of the window edges lo and hi against the
+// brute-force window filter.
+func checkBoundedPair(t *testing.T, a, b []uint32, lo, hi uint32) {
+	t.Helper()
+	ba, bb := NewBitmapFromSorted(a), NewBitmapFromSorted(b)
+	universe, dense := universeOf(a, b)
+	var da, db []uint64
+	if dense {
+		da, db = denseBits(a, universe), denseBits(b, universe)
+	}
+	for _, w := range []struct{ hasLo, hasHi bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+	} {
+		wantA := len(bruteBounded(a, lo, hi, w.hasLo, w.hasHi))
+		wantAB := len(bruteBounded(Intersect(a, b), lo, hi, w.hasLo, w.hasHi))
+		got := map[string]int{
+			"CountBounded":                 ba.CountBounded(lo, hi, w.hasLo, w.hasHi),
+			"IntersectBitmapsCountBounded": IntersectBitmapsCountBounded(ba, bb, lo, hi, w.hasLo, w.hasHi),
+		}
+		want := map[string]int{"CountBounded": wantA, "IntersectBitmapsCountBounded": wantAB}
+		if dense {
+			got["IntersectBitmapBitsCountBounded"] = IntersectBitmapBitsCountBounded(ba, db, lo, hi, w.hasLo, w.hasHi)
+			got["CountBitsBounded"] = CountBitsBounded(da, lo, hi, w.hasLo, w.hasHi)
+			got["IntersectBitsCountBounded"] = IntersectBitsCountBounded(da, db, lo, hi, w.hasLo, w.hasHi)
+			want["IntersectBitmapBitsCountBounded"] = wantAB
+			want["CountBitsBounded"] = wantA
+			want["IntersectBitsCountBounded"] = wantAB
+		}
+		for name, n := range got {
+			if n != want[name] {
+				t.Errorf("%s(%v, %v, lo=%d hi=%d %+v) = %d, want %d", name, a, b, lo, hi, w, n, want[name])
 			}
 		}
 	}
+}
+
+// windowEdges picks window edges from the inputs so boundaries are hit.
+func windowEdges(a, b []uint32) (lo, hi uint32) {
+	lo, hi = 0, 1<<32-1
+	if len(a) > 0 {
+		lo = a[len(a)/2]
+	}
+	if len(b) > 0 {
+		hi = b[len(b)/2]
+	}
+	return lo, hi
 }
 
 func equalSets(a, b []uint32) bool {
@@ -151,24 +244,9 @@ func TestHybridKernelMatrix(t *testing.T) {
 		for j, b := range sets {
 			t.Run(fmt.Sprintf("%dx%d", i, j), func(t *testing.T) {
 				checkHybridPair(t, a, b)
+				lo, hi := windowEdges(a, b)
+				checkBoundedPair(t, a, b, lo, hi)
 			})
-		}
-	}
-}
-
-func TestUnionIntoAndCount(t *testing.T) {
-	sets := adversarialSets()
-	for _, a := range sets {
-		for _, b := range sets {
-			want := Union(a, b)
-			prefix := []uint32{9999}
-			got := UnionInto(Clone(prefix), a, b)
-			if !equalSets(got[:1], prefix) || !equalSets(got[1:], want) {
-				t.Fatalf("UnionInto(%v, %v) = %v, want prefix+%v", a, b, got, want)
-			}
-			if n := UnionCount(a, b); n != len(want) {
-				t.Fatalf("UnionCount(%v, %v) = %d, want %d", a, b, n, len(want))
-			}
 		}
 	}
 }
@@ -191,13 +269,6 @@ func bruteBounded(s []uint32, lo, hi uint32, hasLo, hasHi bool) []uint32 {
 func TestBoundedCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	universe := uint32(2048)
-	denseWords := func(s []uint32) []uint64 {
-		w := make([]uint64, (universe+63)/64)
-		for _, v := range s {
-			w[v>>6] |= 1 << (v & 63)
-		}
-		return w
-	}
 	randSet := func(n int) []uint32 {
 		seen := map[uint32]bool{}
 		var out []uint32
@@ -216,26 +287,9 @@ func TestBoundedCounts(t *testing.T) {
 		b := randSet(rng.Intn(120))
 		lo := uint32(rng.Intn(int(universe)))
 		hi := uint32(rng.Intn(int(universe)))
-		hasLo := rng.Intn(2) == 0
-		hasHi := rng.Intn(2) == 0
-		wantA := len(bruteBounded(a, lo, hi, hasLo, hasHi))
-		wantAB := len(bruteBounded(Intersect(a, b), lo, hi, hasLo, hasHi))
-		ba, bb := NewBitmapFromSorted(a), NewBitmapFromSorted(b)
-		da, db := denseWords(a), denseWords(b)
-		if got := ba.CountBounded(lo, hi, hasLo, hasHi); got != wantA {
-			t.Fatalf("trial %d: CountBounded = %d, want %d", trial, got, wantA)
-		}
-		if got := IntersectBitmapsCountBounded(ba, bb, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitmapsCountBounded = %d, want %d", trial, got, wantAB)
-		}
-		if got := IntersectBitmapBitsCountBounded(ba, db, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitmapBitsCountBounded = %d, want %d", trial, got, wantAB)
-		}
-		if got := CountBitsBounded(da, lo, hi, hasLo, hasHi); got != wantA {
-			t.Fatalf("trial %d: CountBitsBounded = %d, want %d", trial, got, wantA)
-		}
-		if got := IntersectBitsCountBounded(da, db, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitsCountBounded = %d, want %d", trial, got, wantAB)
+		checkBoundedPair(t, a, b, lo, hi)
+		if t.Failed() {
+			t.Fatalf("trial %d failed", trial)
 		}
 	}
 }
@@ -245,22 +299,5 @@ func sortU32(s []uint32) {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
-	}
-}
-
-func TestMakeHybridPicksByDensity(t *testing.T) {
-	run := make([]uint32, 128)
-	for i := range run {
-		run[i] = uint32(1000 + i)
-	}
-	if f := MakeHybrid(run).Format(); f != FormatBitmap {
-		t.Errorf("dense run stored as %v, want bitmap", f)
-	}
-	sparse := []uint32{1, 10_000, 20_000_000}
-	if f := MakeHybrid(sparse).Format(); f != FormatArray {
-		t.Errorf("sparse spread stored as %v, want array", f)
-	}
-	if f := MakeHybrid(nil).Format(); f != FormatArray {
-		t.Errorf("empty set stored as %v, want array", f)
 	}
 }

@@ -23,8 +23,11 @@ type PipelineStats struct {
 //
 // For intersection and subtraction, s is the (short) partial candidate set
 // and n the (long) neighbor list; for anti-subtraction the result is n − s.
-// The output always equals Apply(op, s, n); the segmented path exists so
-// the simulator's functional and timing behaviour come from one mechanism.
+// The output always equals Apply(op, s, n). This is the executable model
+// of the IU datapath that the segment tests check against Apply; the
+// simulator does not run it. Its timing comes from the FINGERS PE's
+// chargeOp, which derives the same segment and workload geometry without
+// materializing results, and its results from mine.Engine.
 func SegmentedApply(op Op, s, n []uint32, longSegLen, shortSegLen, maxLoad int) ([]uint32, PipelineStats) {
 	long := Segment(n, longSegLen)
 	short := Segment(s, shortSegLen)

@@ -129,47 +129,6 @@ func SubtractInto(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
-// SubtractCount returns |a − b| without materializing the result.
-func SubtractCount(a, b []uint32) int {
-	return len(a) - IntersectCount(a, b)
-}
-
-// Union returns a ∪ b as a new sorted slice.
-func Union(a, b []uint32) []uint32 {
-	return UnionInto(make([]uint32, 0, len(a)+len(b)), a, b)
-}
-
-// UnionInto appends a ∪ b to dst and returns the extended slice,
-// completing the Into family (intersect and subtract always had one).
-// dst follows the aliasing contract: caller-owned, aliasing neither
-// input.
-func UnionInto(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// UnionCount returns |a ∪ b| without materializing the result, via
-// inclusion–exclusion on the merge-counted intersection.
-func UnionCount(a, b []uint32) int {
-	return len(a) + len(b) - IntersectCount(a, b)
-}
-
 // Apply evaluates the operation on (s, n) following Equation (1):
 // intersection and subtraction treat s as the partial candidate set and n
 // as the neighbor list; anti-subtraction computes n − s.
@@ -240,28 +199,4 @@ func UpperBound(s []uint32, v uint32) int {
 		}
 	}
 	return lo
-}
-
-// CountLess returns the number of elements strictly below bound, used to
-// apply symmetry-breaking restrictions of the form u_j < u_i when only the
-// cardinality of the filtered candidate set is needed.
-func CountLess(s []uint32, bound uint32) int {
-	return LowerBound(s, bound)
-}
-
-// FilterLess appends to dst the elements of s strictly below bound.
-func FilterLess(dst, s []uint32, bound uint32) []uint32 {
-	return append(dst, s[:LowerBound(s, bound)]...)
-}
-
-// FilterGreater appends to dst the elements of s strictly above bound.
-func FilterGreater(dst, s []uint32, bound uint32) []uint32 {
-	return append(dst, s[UpperBound(s, bound):]...)
-}
-
-// Clone returns a copy of s.
-func Clone(s []uint32) []uint32 {
-	out := make([]uint32, len(s))
-	copy(out, s)
-	return out
 }
